@@ -20,13 +20,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Serving-layer verification: the full mintd suite under -race —
-# admission/breaker/registry units, endpoint contracts, the chaos soak
-# (every response exact, loudly degraded, or cleanly shed), and the
-# in-process + subprocess SIGTERM drain tests.
-# Serving suite: worker core (admission, breakers, registry, chaos
-# soak), the scatter-gather coordinator (internal/server/gather, covered
-# by the ... wildcard), shard planning, the streaming-ingest WAL
+# Serving suite under -race: the shared front's contract suite (run
+# against a worker and a coordinator), worker core (admission, breakers,
+# registry, chaos soak — every response exact, loudly degraded, or
+# cleanly shed), the scatter-gather coordinator (internal/server/gather,
+# covered by the ... wildcard), shard planning, the streaming-ingest WAL
 # (torn-tail repair, corrupt-log property tests, chaos), and the
 # binary-level drain, coordinator, and SIGKILL-ingest-recovery
 # end-to-end tests.

@@ -45,7 +45,10 @@
 // bounded retries, hedged stragglers, and per-shard circuit breakers,
 // and merged under the same response contract — a dead shard makes the
 // merged answer loudly partial (missing shards named), never silently
-// short. /readyz reflects shard quorum.
+// short. /readyz reflects shard quorum. Both modes run the same HTTP
+// front — admission, budgets, body limits, tracing, drain — so
+// -max-body-bytes, -inflight, -queue, and the timeout caps apply in
+// coordinator mode too.
 //
 // Streaming ingestion (-ingest-dir) serves one mutable "live" dataset
 // backed by a crash-safe segmented WAL: POST /v1/edges batches are
@@ -84,15 +87,6 @@ import (
 	"mint/internal/server"
 	"mint/internal/server/gather"
 )
-
-// serving is the common surface of the two process modes (worker
-// server.Server, coordinator gather.Coordinator): the drain ladder at
-// the bottom of main drives either through it.
-type serving interface {
-	Handler() http.Handler
-	Drain(ctx context.Context) error
-	BuildReport() *obs.RunReport
-}
 
 func main() {
 	listen := flag.String("listen", ":7465", "serve the mining API on this address")
@@ -163,8 +157,10 @@ func main() {
 		fatal(err)
 	}
 
+	// Both modes serve through one server.Front; they differ only in the
+	// Backend behind it (local engines or a fan-out over workers).
 	reg := obs.New("mintd")
-	var srv serving
+	var srv *server.Front
 	if *coordinator {
 		var urls []string
 		for _, u := range strings.Split(*shards, ",") {
@@ -206,6 +202,7 @@ func main() {
 				Cooldown:  *breakerCooldown,
 			},
 			EnumerateMaxLimit: *enumLimit,
+			MaxBodyBytes:      *maxBodyBytes,
 			Obs:               reg,
 			AccessLog:         alogW,
 			TraceCapacity:     *traceCap,
@@ -214,7 +211,7 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("mintd: coordinator over %d shards: %s\n", len(urls), strings.Join(urls, ", "))
-		srv = c
+		srv = c.Front
 	} else {
 		if *follow != "" && *ingestDir == "" {
 			fatal(fmt.Errorf("-follow needs -ingest-dir: the standby replays the primary's records into its OWN crash-safe WAL"))
@@ -280,7 +277,7 @@ func main() {
 				}
 			}()
 		}
-		srv = ss
+		srv = ss.Front
 	}
 
 	// One mux: the API plus the obs debug endpoints, so a single port

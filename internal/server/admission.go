@@ -118,9 +118,8 @@ var ErrDraining = errors.New("server is draining")
 // Admission is the runtime state of the bounded front door: a token
 // channel for the concurrency bound, an atomic waiter count for the
 // queue bound, and an EWMA of service time feeding the Retry-After
-// estimate. It is exported so the scatter-gather coordinator (package
-// gather) can run the same front door without duplicating the shedding
-// policy.
+// estimate. Each Front owns one, so the worker and the coordinator run
+// the same shedding policy.
 type Admission struct {
 	cfg    AdmissionConfig
 	tokens chan struct{}

@@ -113,6 +113,9 @@ type Config struct {
 	MergeMargin time.Duration
 	// EnumerateMaxLimit caps one merged enumerate page (default 1000).
 	EnumerateMaxLimit int
+	// MaxBodyBytes caps every JSON request body (0 means
+	// server.DefaultMaxBodyBytes). Oversized bodies answer 413.
+	MaxBodyBytes int64
 	// ProbeTimeout bounds one readyz shard health probe (default 500ms).
 	ProbeTimeout time.Duration
 	// Obs receives coordinator metrics (nil: dropped).
@@ -144,9 +147,6 @@ func (c Config) normalized() Config {
 	if c.MergeMargin <= 0 {
 		c.MergeMargin = 200 * time.Millisecond
 	}
-	if c.EnumerateMaxLimit <= 0 {
-		c.EnumerateMaxLimit = 1000
-	}
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = 500 * time.Millisecond
 	}
@@ -163,38 +163,19 @@ func (c Config) normalized() Config {
 // setLabel names one replica set in errors, partials, and metrics.
 func setLabel(members []string) string { return strings.Join(members, "|") }
 
-// Coordinator is the scatter-gather serving core. Create with New,
-// mount Handler, call Drain exactly once on the way out.
+// Coordinator is the scatter-gather Backend behind a server.Front:
+// its executors are other mintds. Create with New, mount Handler, call
+// Drain exactly once on the way out.
 type Coordinator struct {
+	*server.Front
 	cfg Config
 	obs *obs.Registry
-	adm *server.Admission
 	brk *server.BreakerGroup
-	mux *http.ServeMux
 
 	// sets[i] is shard entry i split into its replica members; a
 	// single-URL entry is a one-member set. Plan range i belongs to
 	// sets[i] as a unit — any member can serve it, fingerprint willing.
 	sets [][]string
-
-	// traces retains merged (coordinator + shard fragment) traces for
-	// /debug/trace; alog is the structured access log (both nil-safe).
-	traces *obs.TraceStore
-	alog   *obs.AccessLogger
-
-	start time.Time
-
-	runCtx     context.Context
-	cancelRuns context.CancelFunc
-
-	stateMu  sync.RWMutex
-	draining bool
-	inflight sync.WaitGroup
-
-	// shardRetryUntil is the worst shard-reported Retry-After deadline
-	// (unix nanos) seen recently; it keeps coordinator shed hints honest
-	// when the overload lives behind the fan-out (CombineRetryAfter).
-	shardRetryUntil atomic.Int64
 
 	// infos caches each shard's DatasetInfoResponse per dataset.
 	// Static datasets are immutable for a process lifetime, so a
@@ -211,18 +192,11 @@ func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, errors.New("gather: at least one shard URL is required")
 	}
-	if cfg.TraceCapacity <= 0 {
-		cfg.TraceCapacity = 256
-	}
 	c := &Coordinator{
-		cfg:    cfg.normalized(),
-		obs:    cfg.Obs,
-		start:  time.Now(),
-		adm:    server.NewAdmission(cfg.Admission, cfg.Obs),
-		brk:    server.NewBreakerGroup(cfg.Breaker, cfg.Obs),
-		infos:  map[string]map[string]*server.DatasetInfoResponse{},
-		traces: obs.NewTraceStore(cfg.TraceCapacity),
-		alog:   obs.NewAccessLogger(cfg.AccessLog),
+		cfg:   cfg.normalized(),
+		obs:   cfg.Obs,
+		brk:   server.NewBreakerGroup(cfg.Breaker, cfg.Obs),
+		infos: map[string]map[string]*server.DatasetInfoResponse{},
 	}
 	for i, entry := range c.cfg.Shards {
 		var set []string
@@ -236,186 +210,24 @@ func New(cfg Config) (*Coordinator, error) {
 		}
 		c.sets = append(c.sets, set)
 	}
-	c.runCtx, c.cancelRuns = context.WithCancel(context.Background())
-	c.mux = http.NewServeMux()
-	c.mux.HandleFunc("POST /v1/count", c.instrument("count", c.handleCount))
-	c.mux.HandleFunc("POST /v1/enumerate", c.instrument("enumerate", c.handleEnumerate))
-	c.mux.HandleFunc("POST /v1/profile", c.instrument("profile", c.handleProfile))
-	c.mux.HandleFunc("POST /v1/datasetinfo", c.instrument("datasetinfo", c.handleDatasetInfo))
-	c.mux.HandleFunc("GET /healthz", c.handleHealthz)
-	c.mux.HandleFunc("GET /readyz", c.handleReadyz)
-	c.mux.HandleFunc("GET /debug/trace/{id}", c.handleTraceDump)
-	c.mux.Handle("GET /metrics", obs.MetricsHandler(c.obs))
+	c.Front = server.NewFront(c, server.FrontConfig{
+		Mode:              "coordinate",
+		Routes:            "gather",
+		Drain:             "gather",
+		Caps:              cfg.Caps,
+		Admission:         cfg.Admission,
+		EnumerateMaxLimit: cfg.EnumerateMaxLimit,
+		MaxBodyBytes:      cfg.MaxBodyBytes,
+		Obs:               cfg.Obs,
+		AccessLog:         cfg.AccessLog,
+		TraceCapacity:     cfg.TraceCapacity,
+	})
 	return c, nil
 }
 
-// Handler returns the coordinator's HTTP handler.
-func (c *Coordinator) Handler() http.Handler { return c.mux }
-
-// Draining reports whether drain has begun.
-func (c *Coordinator) Draining() bool {
-	c.stateMu.RLock()
-	defer c.stateMu.RUnlock()
-	return c.draining
-}
-
-// Drain winds the coordinator down exactly like server.Drain: stop
-// admitting, let in-flight fan-outs finish until ctx expires, then
-// cancel them (shard calls abort via their request contexts) and wait.
-func (c *Coordinator) Drain(ctx context.Context) error {
-	c.stateMu.Lock()
-	already := c.draining
-	c.draining = true
-	c.stateMu.Unlock()
-	if already {
-		return errors.New("gather: Drain called twice")
-	}
-	c.obs.Counter("gather.drain_started").Add(1)
-	c.adm.Stop()
-	done := make(chan struct{})
-	go func() {
-		c.inflight.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		c.cancelRuns()
-	case <-ctx.Done():
-		c.obs.Counter("gather.drain_forced").Add(1)
-		c.cancelRuns()
-		<-done
-	}
-	c.obs.Counter("gather.drain_done").Add(1)
-	return nil
-}
-
-// BuildReport assembles the end-of-life RunReport mintd flushes on exit.
-func (c *Coordinator) BuildReport() *obs.RunReport {
-	rep := obs.NewRunReport("mintd", "coordinate")
-	rep.StartUnixNano = c.start.UnixNano()
-	rep.WallSeconds = time.Since(c.start).Seconds()
-	rep.CPUSeconds = obs.ProcessCPUSeconds()
-	rep.AttachSnapshot(c.obs.Snapshot())
-	return rep
-}
-
-// HTTP plumbing ----------------------------------------------------------
-
-func (c *Coordinator) beginRequest() (func(), bool) {
-	c.stateMu.RLock()
-	defer c.stateMu.RUnlock()
-	if c.draining {
-		return nil, false
-	}
-	c.inflight.Add(1)
-	return c.inflight.Done, true
-}
-
-func (c *Coordinator) requestCtx(r *http.Request) (context.Context, func()) {
-	ctx, cancel := context.WithCancel(r.Context())
-	stop := context.AfterFunc(c.runCtx, cancel)
-	return ctx, func() {
-		stop()
-		cancel()
-	}
-}
-
-// instrument wraps a fan-out handler with trace context resolution
-// (incoming traceparent / X-Request-ID honored, X-Trace-Id echoed on
-// every response including drain 503s), per-endpoint metrics, the
-// access log, trace retention for /debug/trace, and a panic backstop.
-func (c *Coordinator) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		rt, sw, r := server.BeginTrace(w, r, "gather."+name)
-		start := time.Now()
-		done, ok := c.beginRequest()
-		if !ok {
-			rt.Annotate("outcome", "draining")
-			writeError(sw, http.StatusServiceUnavailable, "coordinator is draining", server.RetryAfterSeconds(30*time.Second))
-			c.finishTrace(rt, name, sw.Status(), start)
-			return
-		}
-		c.obs.Counter("gather." + name + ".requests").Add(1)
-		defer func() {
-			if rec := recover(); rec != nil {
-				c.obs.Counter("gather." + name + ".panics").Add(1)
-				writeError(sw, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", rec), 0)
-			}
-			c.obs.Histogram("gather." + name + ".latency_ns").Observe(int64(time.Since(start)))
-			done()
-			c.finishTrace(rt, name, sw.Status(), start)
-		}()
-		h(sw, r)
-	}
-}
-
-// finishTrace closes the request's root span, retains the merged trace
-// (coordinator spans plus imported shard fragments) for
-// GET /debug/trace/<id>, and writes the access-log line.
-func (c *Coordinator) finishTrace(rt *obs.ReqTrace, route string, status int, start time.Time) {
-	rt.Finish()
-	c.traces.Add(rt.TraceID(), rt.Spans())
-	c.alog.Log(server.AccessRecordFor(rt, route, status, start))
-}
-
-// handleTraceDump serves one merged trace as Chrome trace JSON.
-func (c *Coordinator) handleTraceDump(w http.ResponseWriter, r *http.Request) {
-	server.ServeTraceDump(w, r, c.traces)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v) //nolint:errcheck // client gone = nothing to do
-}
-
-func writeError(w http.ResponseWriter, status int, msg string, retryAfter int) {
-	if retryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-	}
-	writeJSON(w, status, server.ErrorResponse{Error: msg, RetryAfterSeconds: retryAfter})
-}
-
-// admit runs the coordinator's own admission ladder; shed responses
-// carry the combined (own ∨ worst-shard) Retry-After.
-func (c *Coordinator) admit(w http.ResponseWriter, ctx context.Context, priority string) (func(), bool) {
-	rt := obs.ReqTraceFrom(ctx)
-	pri, err := server.ParsePriority(priority)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), 0)
-		return nil, false
-	}
-	rt.Annotate("priority", pri.String())
-	sp := rt.Begin("admission.wait", rt.RootID())
-	release, err := c.adm.Acquire(ctx, pri)
-	if err == nil {
-		sp.Set("outcome", "admitted")
-		sp.End()
-		return release, true
-	}
-	var shed *server.ShedError
-	switch {
-	case errors.As(err, &shed):
-		sp.Set("outcome", "shed")
-		sp.End()
-		c.obs.Counter("gather.shed").Add(1)
-		ra := c.adm.CombineRetryAfter(c.shardWorstRetry())
-		if shed.RetryAfter > ra {
-			ra = shed.RetryAfter
-		}
-		writeError(w, http.StatusTooManyRequests, err.Error(), server.RetryAfterSeconds(ra))
-	case errors.Is(err, server.ErrDraining):
-		sp.Set("outcome", "draining")
-		sp.End()
-		writeError(w, http.StatusServiceUnavailable, err.Error(), server.RetryAfterSeconds(30*time.Second))
-	default:
-		sp.Set("outcome", "timeout")
-		sp.End()
-		writeError(w, http.StatusServiceUnavailable, err.Error(),
-			server.RetryAfterSeconds(c.adm.CombineRetryAfter(c.shardWorstRetry())))
-	}
-	return nil, false
-}
+// Close is a no-op: in-flight fan-outs ended with drain, and the
+// coordinator holds no local state worth sealing.
+func (c *Coordinator) Close() {}
 
 // Shard RPC --------------------------------------------------------------
 
@@ -439,26 +251,6 @@ func retryable(err error) bool {
 		return se.status == http.StatusTooManyRequests || se.status >= 500
 	}
 	return true
-}
-
-// noteShardRetryAfter folds one shard-reported Retry-After into the
-// worst-deadline tracker behind CombineRetryAfter.
-func (c *Coordinator) noteShardRetryAfter(d time.Duration) {
-	dl := time.Now().Add(d).UnixNano()
-	for {
-		old := c.shardRetryUntil.Load()
-		if old >= dl || c.shardRetryUntil.CompareAndSwap(old, dl) {
-			return
-		}
-	}
-}
-
-// shardWorstRetry is the remaining worst shard-reported Retry-After.
-func (c *Coordinator) shardWorstRetry() time.Duration {
-	if d := time.Until(time.Unix(0, c.shardRetryUntil.Load())); d > 0 {
-		return d
-	}
-	return 0
 }
 
 // errBreakerOpen marks a shard skipped because its breaker is open.
@@ -526,7 +318,7 @@ func (c *Coordinator) callTraced(ctx context.Context, rt *obs.ReqTrace, sp *obs.
 		lastErr = err
 		var se *shardError
 		if errors.As(err, &se) && se.retryAfter > 0 {
-			c.noteShardRetryAfter(time.Duration(se.retryAfter) * time.Second)
+			c.NoteRetryAfter(time.Duration(se.retryAfter) * time.Second)
 		}
 		if !retryable(err) {
 			// The shard answered (it is healthy); the request is bad.
@@ -695,14 +487,6 @@ func (qp *queryPlan) missingUpfront() []string {
 	return out
 }
 
-// planError classifies planning failures for the HTTP layer.
-type planError struct {
-	status int
-	msg    string
-}
-
-func (e *planError) Error() string { return e.msg }
-
 // planFor identifies every shard and computes the fan-out for one
 // (dataset, δ) query.
 func (c *Coordinator) planFor(ctx context.Context, dataset string, delta mint.Timestamp) (*queryPlan, error) {
@@ -724,7 +508,7 @@ func (c *Coordinator) planFor(ctx context.Context, dataset string, delta mint.Ti
 	for _, err := range errs {
 		var se *shardError
 		if errors.As(err, &se) && se.status == http.StatusBadRequest {
-			return nil, &planError{status: http.StatusBadRequest, msg: se.msg}
+			return nil, badRequest(se.msg)
 		}
 	}
 
@@ -748,9 +532,9 @@ func (c *Coordinator) planFor(ctx context.Context, dataset string, delta mint.Ti
 			continue
 		}
 		if info.Fingerprint != fp {
-			return nil, &planError{status: http.StatusBadGateway, msg: fmt.Sprintf(
+			return nil, server.NewError(http.StatusBadGateway, fmt.Sprintf(
 				"shard data mismatch for dataset %q: %s serves %s but %s serves %s — refusing to merge",
-				dataset, acting[firstOK], fp, acting[i], info.Fingerprint)}
+				dataset, acting[firstOK], fp, acting[i], info.Fingerprint), 0)
 		}
 	}
 	if firstOK < 0 {
@@ -761,7 +545,7 @@ func (c *Coordinator) planFor(ctx context.Context, dataset string, delta mint.Ti
 				break
 			}
 		}
-		return nil, &planError{status: http.StatusServiceUnavailable, msg: msg}
+		return nil, errors.New(msg)
 	}
 	p := shard.New(span.Start, span.End, n, delta)
 	qp := &queryPlan{ranges: p.Ranges}
@@ -795,8 +579,7 @@ func (c *Coordinator) planFor(ctx context.Context, dataset string, delta mint.Ti
 func (c *Coordinator) planSliced(infos []*server.DatasetInfoResponse, acting []string, errs []error) (*queryPlan, error) {
 	for i, info := range infos {
 		if info == nil {
-			return nil, &planError{status: http.StatusServiceUnavailable, msg: fmt.Sprintf(
-				"sliced coordinator cannot plan: shard %s never identified (%v)", setLabel(c.sets[i]), errs[i])}
+			return nil, fmt.Errorf("sliced coordinator cannot plan: shard %s never identified (%v)", setLabel(c.sets[i]), errs[i])
 		}
 	}
 	order := make([]int, len(infos))
@@ -879,19 +662,7 @@ func planningDelta(deltaSeconds int64) mint.Timestamp {
 	return mint.Timestamp(deltaSeconds)
 }
 
-func (c *Coordinator) writePlanError(w http.ResponseWriter, err error) {
-	var pe *planError
-	if errors.As(err, &pe) {
-		ra := 0
-		if pe.status == http.StatusServiceUnavailable {
-			ra = server.RetryAfterSeconds(c.adm.CombineRetryAfter(c.shardWorstRetry()))
-		}
-		writeError(w, pe.status, pe.msg, ra)
-		return
-	}
-	writeError(w, http.StatusServiceUnavailable, err.Error(),
-		server.RetryAfterSeconds(c.adm.CombineRetryAfter(c.shardWorstRetry())))
-}
+func badRequest(msg string) error { return server.NewError(http.StatusBadRequest, msg, 0) }
 
 // Count ------------------------------------------------------------------
 
@@ -903,15 +674,15 @@ func (c *Coordinator) writePlanError(w http.ResponseWriter, err error) {
 // PerMotif entrywise — shards answer the same motif list in the same
 // deterministic order (Motifs then MotifSpecs), so entry i everywhere
 // is the same motif; a shard answering a different entry count is
-// treated as failed rather than mis-summed. Failures return a
-// *planError for writePlanError.
-func (c *Coordinator) fanoutCount(ctx context.Context, rt *obs.ReqTrace, req *server.CountRequest, full runctl.Budget) (server.CountResponse, error) {
+// treated as failed rather than mis-summed.
+func (c *Coordinator) fanoutCount(ctx context.Context, req *server.CountRequest, full runctl.Budget) (*server.CountResponse, error) {
+	rt := obs.ReqTraceFrom(ctx)
 	psp := rt.Begin("gather.plan", rt.RootID())
 	qp, err := c.planFor(ctx, req.Dataset, planningDelta(req.DeltaSeconds))
 	if err != nil {
 		psp.Set("outcome", "error")
 		psp.End()
-		return server.CountResponse{}, err
+		return nil, err
 	}
 	n := len(qp.ranges)
 	psp.Set("shards", strconv.Itoa(n))
@@ -977,11 +748,11 @@ func (c *Coordinator) fanoutCount(ctx context.Context, rt *obs.ReqTrace, req *se
 	for _, err := range errs {
 		var se *shardError
 		if errors.As(err, &se) && se.status == http.StatusBadRequest {
-			return server.CountResponse{}, &planError{status: http.StatusBadRequest, msg: se.msg}
+			return nil, badRequest(se.msg)
 		}
 	}
 
-	out := server.CountResponse{Engine: mint.EngineExact, Exact: true}
+	out := &server.CountResponse{Engine: mint.EngineExact, Exact: true}
 	if numMotifs > 0 {
 		out.PerMotif = make([]server.MotifCountEntry, numMotifs)
 	}
@@ -1015,7 +786,7 @@ func (c *Coordinator) fanoutCount(ctx context.Context, rt *obs.ReqTrace, req *se
 		}
 	}
 	if len(missing) == n {
-		return server.CountResponse{}, &planError{status: http.StatusServiceUnavailable, msg: "all shards unavailable"}
+		return nil, errors.New("all shards unavailable")
 	}
 	if len(missing) > 0 {
 		c.obs.Counter("gather.partial_merge").Add(1)
@@ -1046,58 +817,20 @@ func (c *Coordinator) fanoutCount(ctx context.Context, rt *obs.ReqTrace, req *se
 	return out, nil
 }
 
-func (c *Coordinator) handleCount(w http.ResponseWriter, r *http.Request) {
-	var req server.CountRequest
-	if !server.DecodeBody(w, r, 0, &req) {
-		return
-	}
+// Count fans one (single-motif or batch) count out over the shards.
+func (c *Coordinator) Count(ctx context.Context, req *server.CountRequest, full runctl.Budget) (*server.CountResponse, error) {
 	if req.Supervised {
-		writeError(w, http.StatusBadRequest, "supervised is not supported in coordinator mode", 0)
-		return
+		return nil, badRequest("supervised is not supported in coordinator mode")
 	}
 	if req.RootWindow != nil {
-		writeError(w, http.StatusBadRequest, "root_window is assigned by the coordinator; query a worker directly to restrict roots", 0)
-		return
+		return nil, badRequest(errRootWindow)
 	}
-	ctx, cleanup := c.requestCtx(r)
-	defer cleanup()
-	release, ok := c.admit(w, ctx, req.Priority)
-	if !ok {
-		return
-	}
-	defer release()
-	start := time.Now()
-	full := runctl.DeriveBudget(start, time.Duration(req.TimeoutMS)*time.Millisecond,
-		runctl.Budget{MaxMatches: req.MaxMatches, MaxNodes: req.MaxNodes}, c.cfg.Caps)
-	mineCtx, cancel := ctx, func() {}
-	if !full.Deadline.IsZero() {
-		mineCtx, cancel = context.WithDeadline(ctx, full.Deadline)
-	}
-	defer cancel()
-
-	rt := obs.ReqTraceFrom(ctx)
-	out, err := c.fanoutCount(mineCtx, rt, &req, full)
-	if err != nil {
-		c.writePlanError(w, err)
-		return
-	}
-	rt.Annotate("engine", out.Engine)
-	if out.Degraded {
-		rt.Annotate("degraded", "true")
-	}
-	if out.Truncated {
-		rt.Annotate("truncated", out.StopReason)
-	}
-	out.TraceID = rt.TraceID()
-	if req.Explain {
-		out.Explain = obs.BuildExplain(rt.Spans())
-	}
-	if req.ReturnTrace {
-		out.TraceFrag = rt.Spans()
-	}
-	out.WallMS = float64(time.Since(start).Microseconds()) / 1000
-	writeJSON(w, http.StatusOK, out)
+	return c.fanoutCount(ctx, req, full)
 }
+
+// errRootWindow refuses client root windows: the coordinator assigns
+// them.
+const errRootWindow = "root_window is assigned by the coordinator; query a worker directly to restrict roots"
 
 // shardTimeoutMS converts a split budget's deadline into the per-shard
 // request timeout (0 = let the shard apply its own default).
@@ -1131,65 +864,36 @@ func parseMergedToken(tok string, n int) (int, string, error) {
 	return idx, inner, nil
 }
 
-func (c *Coordinator) handleEnumerate(w http.ResponseWriter, r *http.Request) {
-	var req server.EnumerateRequest
-	if !server.DecodeBody(w, r, 0, &req) {
-		return
-	}
+// Enumerate walks the shards in range order for one merged page.
+func (c *Coordinator) Enumerate(ctx context.Context, req *server.EnumerateRequest, full runctl.Budget) (*server.EnumerateResponse, error) {
 	if c.cfg.Sliced {
-		writeError(w, http.StatusNotImplemented,
+		return nil, server.NewError(http.StatusNotImplemented,
 			"enumerate is not supported on a sliced deployment: slice-local edge IDs are not globally meaningful", 0)
-		return
 	}
 	if req.RootWindow != nil {
-		writeError(w, http.StatusBadRequest, "root_window is assigned by the coordinator; query a worker directly to restrict roots", 0)
-		return
+		return nil, badRequest(errRootWindow)
 	}
-	if req.Limit <= 0 {
-		writeError(w, http.StatusBadRequest, "limit must be positive", 0)
-		return
-	}
-	if req.Limit > c.cfg.EnumerateMaxLimit {
-		req.Limit = c.cfg.EnumerateMaxLimit
-	}
-	ctx, cleanup := c.requestCtx(r)
-	defer cleanup()
-	release, ok := c.admit(w, ctx, req.Priority)
-	if !ok {
-		return
-	}
-	defer release()
-	start := time.Now()
-	full := runctl.DeriveBudget(start, time.Duration(req.TimeoutMS)*time.Millisecond, runctl.Budget{}, c.cfg.Caps)
-	mineCtx, cancel := ctx, func() {}
-	if !full.Deadline.IsZero() {
-		mineCtx, cancel = context.WithDeadline(ctx, full.Deadline)
-	}
-	defer cancel()
-
 	rt := obs.ReqTraceFrom(ctx)
 	psp := rt.Begin("gather.plan", rt.RootID())
-	qp, err := c.planFor(mineCtx, req.Dataset, planningDelta(req.DeltaSeconds))
+	qp, err := c.planFor(ctx, req.Dataset, planningDelta(req.DeltaSeconds))
 	if err != nil {
 		psp.Set("outcome", "error")
 		psp.End()
-		c.writePlanError(w, err)
-		return
+		return nil, err
 	}
 	n := len(qp.ranges)
 	psp.Set("shards", strconv.Itoa(n))
 	psp.End()
 	shardIdx, inner, err := parseMergedToken(req.PageToken, n)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), 0)
-		return
+		return nil, badRequest(err.Error())
 	}
 	per := runctl.SplitBudget(full, 1, c.cfg.MergeMargin) // sequential walk: full wall per shard
 
 	// Walk shards in range order: within one shard the worker streams
 	// the deterministic chronological order, and ranges are ordered by
 	// root timestamp, so concatenation reproduces the global order.
-	out := server.EnumerateResponse{Matches: [][]int32{}}
+	out := &server.EnumerateResponse{Matches: [][]int32{}}
 	for shardIdx < n && len(out.Matches) < req.Limit {
 		if !qp.ok[shardIdx] {
 			out.Truncated = true
@@ -1210,11 +914,10 @@ func (c *Coordinator) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 			ReturnTrace:  rt.TraceID() != "",
 		}
 		var sres server.EnumerateResponse
-		if err := c.callSet(mineCtx, qp, shardIdx, req.Dataset, "/v1/enumerate", sreq, &sres); err != nil {
+		if err := c.callSet(ctx, qp, shardIdx, req.Dataset, "/v1/enumerate", sreq, &sres); err != nil {
 			var se *shardError
 			if errors.As(err, &se) && se.status == http.StatusBadRequest {
-				writeError(w, http.StatusBadRequest, se.msg, 0)
-				return
+				return nil, badRequest(se.msg)
 			}
 			c.obs.Counter("gather.shard_failed").Add(1)
 			c.obs.Counter(obs.Labeled("gather.shard_failed_by", "shard", qp.urls[shardIdx])).Add(1)
@@ -1248,52 +951,18 @@ func (c *Coordinator) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 	}
-	if out.Truncated {
-		rt.Annotate("truncated", out.StopReason)
-	}
-	if out.Partial != nil {
-		rt.Annotate("partial", strings.Join(out.Partial.MissingShards, ","))
-	}
-	out.TraceID = rt.TraceID()
-	if req.Explain {
-		out.Explain = obs.BuildExplain(rt.Spans())
-	}
-	if req.ReturnTrace {
-		out.TraceFrag = rt.Spans()
-	}
-	out.WallMS = float64(time.Since(start).Microseconds()) / 1000
-	writeJSON(w, http.StatusOK, out)
+	return out, nil
 }
 
-// Profile / info / health -------------------------------------------------
+// Profile / info / readiness ----------------------------------------------
 
-// handleProfile serves the M1–M4 fingerprint in coordinator mode as ONE
+// Profile serves the M1–M4 fingerprint in coordinator mode as ONE
 // batch count fan-out: each shard co-mines the whole set over its owned
 // root window under its split budget, and the coordinator sums the
 // per-motif entries. Lost shards surface as Partial plus per-entry
 // truncation — a profile assembled without every shard is a loud lower
 // bound, never a silently short fingerprint.
-func (c *Coordinator) handleProfile(w http.ResponseWriter, r *http.Request) {
-	var req server.ProfileRequest
-	if !server.DecodeBody(w, r, 0, &req) {
-		return
-	}
-	ctx, cleanup := c.requestCtx(r)
-	defer cleanup()
-	release, ok := c.admit(w, ctx, req.Priority)
-	if !ok {
-		return
-	}
-	defer release()
-	start := time.Now()
-	full := runctl.DeriveBudget(start, time.Duration(req.TimeoutMS)*time.Millisecond, runctl.Budget{}, c.cfg.Caps)
-	mineCtx, cancel := ctx, func() {}
-	if !full.Deadline.IsZero() {
-		mineCtx, cancel = context.WithDeadline(ctx, full.Deadline)
-	}
-	defer cancel()
-
-	rt := obs.ReqTraceFrom(ctx)
+func (c *Coordinator) Profile(ctx context.Context, req *server.ProfileRequest, full runctl.Budget) (*server.ProfileResponse, error) {
 	creq := server.CountRequest{
 		Dataset:      req.Dataset,
 		Motifs:       []string{"M1", "M2", "M3", "M4"},
@@ -1301,17 +970,12 @@ func (c *Coordinator) handleProfile(w http.ResponseWriter, r *http.Request) {
 		TimeoutMS:    req.TimeoutMS,
 		Priority:     req.Priority,
 	}
-	merged, err := c.fanoutCount(mineCtx, rt, &creq, full)
+	merged, err := c.fanoutCount(ctx, &creq, full)
 	if err != nil {
-		c.writePlanError(w, err)
-		return
+		return nil, err
 	}
-	perK := 1000.0 / float64(max(1, c.datasetEdges(mineCtx, req.Dataset)))
-	out := server.ProfileResponse{
-		WallMS:  float64(time.Since(start).Microseconds()) / 1000,
-		TraceID: rt.TraceID(),
-		Partial: merged.Partial,
-	}
+	perK := 1000.0 / float64(max(1, c.datasetEdges(ctx, req.Dataset)))
+	out := &server.ProfileResponse{Partial: merged.Partial}
 	for _, e := range merged.PerMotif {
 		out.Profile = append(out.Profile, server.ProfileEntry{
 			Motif:      e.Motif,
@@ -1323,12 +987,9 @@ func (c *Coordinator) handleProfile(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	if merged.Truncated {
-		rt.Annotate("truncated", merged.StopReason)
+		obs.ReqTraceFrom(ctx).Annotate("truncated", merged.StopReason)
 	}
-	if req.Explain {
-		out.Explain = obs.BuildExplain(rt.Spans())
-	}
-	writeJSON(w, http.StatusOK, out)
+	return out, nil
 }
 
 // datasetEdges reports the dataset's total edge count for density
@@ -1350,52 +1011,33 @@ func (c *Coordinator) datasetEdges(ctx context.Context, dataset string) int {
 	return total
 }
 
-// handleDatasetInfo reports the (verified-identical) dataset identity in
+// DatasetInfo reports the (verified-identical) dataset identity in
 // full-data mode; sliced deployments have no single identity to report.
-func (c *Coordinator) handleDatasetInfo(w http.ResponseWriter, r *http.Request) {
-	var req server.DatasetInfoRequest
-	if !server.DecodeBody(w, r, 0, &req) {
-		return
-	}
+func (c *Coordinator) DatasetInfo(ctx context.Context, req *server.DatasetInfoRequest) (*server.DatasetInfoResponse, error) {
 	if c.cfg.Sliced {
-		writeError(w, http.StatusNotImplemented, "datasetinfo is per-slice on a sliced deployment; query workers directly", 0)
-		return
+		return nil, server.NewError(http.StatusNotImplemented, "datasetinfo is per-slice on a sliced deployment; query workers directly", 0)
 	}
-	ctx, cleanup := c.requestCtx(r)
-	defer cleanup()
 	qp, err := c.planFor(ctx, req.Dataset, mint.DeltaHour)
 	if err != nil {
-		c.writePlanError(w, err)
-		return
+		return nil, err
 	}
 	for i := range qp.urls {
 		if !qp.ok[i] {
 			continue
 		}
 		if info, _, err := c.setInfo(ctx, qp.members[i], req.Dataset); err == nil {
-			writeJSON(w, http.StatusOK, info)
-			return
+			return info, nil
 		}
 	}
-	writeError(w, http.StatusServiceUnavailable, "no shard available", 0)
+	return nil, server.NewError(http.StatusServiceUnavailable, "no shard available", 0)
 }
 
-func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	server.EchoTraceID(w, r)
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// handleReadyz live-probes every shard's /healthz and reports ready only
+// Ready live-probes every shard's /healthz and reports ready only
 // when a quorum answers: a coordinator whose fan-outs would all come
 // back partial should not receive traffic a load balancer could send to
 // a healthier peer.
-func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	server.EchoTraceID(w, r)
-	if c.Draining() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "draining"})
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), c.cfg.ProbeTimeout)
+func (c *Coordinator) Ready(ctx context.Context) (int, any) {
+	ctx, cancel := context.WithTimeout(ctx, c.cfg.ProbeTimeout)
 	defer cancel()
 	// Probe every member of every set; a SET is healthy when any member
 	// answers — quorum counts sets, because a set with one live replica
@@ -1458,9 +1100,8 @@ func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	if int(healthy.Load()) >= c.cfg.Quorum {
 		body["status"] = "ready"
-		writeJSON(w, http.StatusOK, body)
-		return
+		return http.StatusOK, body
 	}
 	body["status"] = "below quorum"
-	writeJSON(w, http.StatusServiceUnavailable, body)
+	return http.StatusServiceUnavailable, body
 }

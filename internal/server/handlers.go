@@ -1,13 +1,12 @@
 package server
 
-// HTTP surface of mintd. Each mining endpoint runs the same ladder:
-// decode → admission (shed early, honestly) → budget derivation →
-// dataset registry → breaker routing → engine → response with explicit
+// The worker's Backend and its wire shapes. Behind the Front's ladder
+// (decode → admission → budget), every mining request runs dataset
+// registry → breaker routing → engine, and answers with explicit
 // exactness/degradation/truncation markers.
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -235,145 +234,26 @@ type ErrorResponse struct {
 
 // Routing ----------------------------------------------------------------
 
+// routes registers the worker-only routes; the mining, health, and
+// trace routes are the Front's.
 func (s *Server) routes() {
-	s.mux.HandleFunc("POST /v1/count", s.instrument("count", s.handleCount))
-	s.mux.HandleFunc("POST /v1/enumerate", s.instrument("enumerate", s.handleEnumerate))
-	s.mux.HandleFunc("POST /v1/profile", s.instrument("profile", s.handleProfile))
-	s.mux.HandleFunc("POST /v1/datasetinfo", s.instrument("datasetinfo", s.handleDatasetInfo))
-	s.mux.HandleFunc("POST /v1/edges", s.instrument("edges", s.handleIngest))
-	s.mux.HandleFunc("POST /v1/standing", s.instrument("standing", s.handleStandingRegister))
-	s.mux.HandleFunc("GET /v1/standing", s.instrument("standing_list", s.handleStandingList))
-	s.mux.HandleFunc("DELETE /v1/standing/{name}", s.instrument("standing_delete", s.handleStandingUnregister))
-	s.mux.HandleFunc("POST /v1/replication/pull", s.instrument("replication_pull", s.handleReplicationPull))
-	s.mux.HandleFunc("GET /v1/replication/snapshot", s.instrument("replication_snapshot", s.handleReplicationSnapshot))
-	s.mux.HandleFunc("GET /v1/replication/status", s.instrument("replication_status", s.handleReplicationStatus))
-	s.mux.HandleFunc("POST /v1/promote", s.instrument("promote", s.handlePromote))
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
-	s.mux.HandleFunc("GET /debug/trace/{id}", s.handleTraceDump)
-	s.mux.Handle("GET /metrics", obs.MetricsHandler(s.obs))
+	s.handle("POST /v1/edges", "edges", s.handleIngest)
+	s.handle("POST /v1/standing", "standing", s.handleStandingRegister)
+	s.handle("GET /v1/standing", "standing_list", s.handleStandingList)
+	s.handle("DELETE /v1/standing/{name}", "standing_delete", s.handleStandingUnregister)
+	s.handle("POST /v1/replication/pull", "replication_pull", s.handleReplicationPull)
+	s.handle("GET /v1/replication/snapshot", "replication_snapshot", s.handleReplicationSnapshot)
+	s.handle("GET /v1/replication/status", "replication_status", s.handleReplicationStatus)
+	s.handle("POST /v1/promote", "promote", s.handlePromote)
 }
 
-// instrument wraps a mining handler with trace context resolution,
-// in-flight registration, per-endpoint metrics, a structured access-log
-// line, and a panic backstop (a handler bug becomes a 500 and a
-// counter, never a dead process). The X-Trace-Id header is stamped
-// before any outcome is decided, so shed and drain responses carry it
-// too.
-func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		rt, sw, r := BeginTrace(w, r, "http."+name)
-		start := time.Now()
-		done, ok := s.beginRequest()
-		if !ok {
-			s.obs.Counter("http." + name + ".rejected_draining").Add(1)
-			rt.Annotate("outcome", "draining")
-			writeError(sw, http.StatusServiceUnavailable, "server is draining", RetryAfterSeconds(30*time.Second))
-			s.finishTrace(rt, name, sw.Status(), start)
-			return
-		}
-		s.obs.Counter("http." + name + ".requests").Add(1)
-		defer func() {
-			if rec := recover(); rec != nil {
-				s.obs.Counter("http." + name + ".panics").Add(1)
-				writeError(sw, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", rec), 0)
-			}
-			s.obs.Histogram("http." + name + ".latency_ns").Observe(int64(time.Since(start)))
-			done()
-			s.finishTrace(rt, name, sw.Status(), start)
-		}()
-		h(sw, r)
-	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v) //nolint:errcheck // client gone = nothing to do
-}
-
-func writeError(w http.ResponseWriter, status int, msg string, retryAfter int) {
-	if retryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-	}
-	writeJSON(w, status, ErrorResponse{Error: msg, RetryAfterSeconds: retryAfter})
-}
-
-// DefaultMaxBodyBytes bounds a JSON request body when Config.MaxBodyBytes
-// is zero: generous enough for large ingest batches, small enough that a
-// single request cannot drive unbounded allocation.
-const DefaultMaxBodyBytes = 64 << 20
-
-// DecodeBody decodes one JSON request body through http.MaxBytesReader
-// (limit <= 0 means DefaultMaxBodyBytes). On failure it writes the error
-// response — 413 for an oversized body, 400 otherwise — and returns
-// false. Every body-carrying handler must come through here: it is the
-// server's request-size bound.
-func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	if limit <= 0 {
-		limit = DefaultMaxBodyBytes
-	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v); err != nil {
-		var big *http.MaxBytesError
-		if errors.As(err, &big) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds the %d-byte limit", big.Limit), 0)
-			return false
-		}
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error(), 0)
-		return false
-	}
-	return true
-}
-
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	return DecodeBody(w, r, s.cfg.MaxBodyBytes, v)
-}
-
-// admit runs the admission ladder and writes the shed/timeout responses
-// itself; a nil release means the response is already written.
-func (s *Server) admit(w http.ResponseWriter, ctx context.Context, priority string, endpoint string) (func(), bool) {
-	rt := obs.ReqTraceFrom(ctx)
-	pri, err := ParsePriority(priority)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), 0)
-		return nil, false
-	}
-	rt.Annotate("priority", pri.String())
-	sp := rt.Begin("admission.wait", rt.RootID())
-	release, err := s.adm.Acquire(ctx, pri)
-	if err == nil {
-		sp.Set("outcome", "admitted")
-		sp.End()
-		return release, true
-	}
-	var shed *ShedError
-	switch {
-	case errors.As(err, &shed):
-		sp.Set("outcome", "shed")
-		s.obs.Counter("http." + endpoint + ".shed").Add(1)
-		writeError(w, http.StatusTooManyRequests, err.Error(), RetryAfterSeconds(shed.RetryAfter))
-	case errors.Is(err, ErrDraining):
-		sp.Set("outcome", "draining")
-		rt.Annotate("outcome", "draining")
-		writeError(w, http.StatusServiceUnavailable, err.Error(), RetryAfterSeconds(30*time.Second))
-	default: // queue timeout or client context expiry
-		sp.Set("outcome", "queue_timeout")
-		s.obs.Counter("http." + endpoint + ".queue_timeout").Add(1)
-		writeError(w, http.StatusServiceUnavailable, err.Error(), RetryAfterSeconds(s.adm.RetryAfter()))
-	}
-	sp.End()
-	return nil, false
-}
-
-// loadWorkload resolves the dataset and motif; it writes its own error
-// responses (400 for caller mistakes, 503 for environment failures).
-// The dataset comes back pinned in the registry (eviction cannot race
-// the mining run); the caller must defer the returned release.
-func (s *Server) loadWorkload(w http.ResponseWriter, ctx context.Context, dataset, motifName, motifSpec string, deltaSeconds int64) (*mint.Graph, *mint.Motif, func(), bool) {
+// loadWorkload resolves the dataset and motif: 400 for caller
+// mistakes, 503 for environment failures. The dataset comes back pinned
+// in the registry (eviction cannot race the mining run); the caller
+// must defer the returned release.
+func (s *Server) loadWorkload(ctx context.Context, dataset, motifName, motifSpec string, deltaSeconds int64) (*mint.Graph, *mint.Motif, func(), error) {
 	if dataset == "" {
-		writeError(w, http.StatusBadRequest, "dataset is required", 0)
-		return nil, nil, nil, false
+		return nil, nil, nil, badRequest("dataset is required")
 	}
 	delta := mint.Timestamp(deltaSeconds)
 	if delta <= 0 {
@@ -391,23 +271,32 @@ func (s *Server) loadWorkload(w http.ResponseWriter, ctx context.Context, datase
 		m, err = mint.MotifByName(name, delta)
 	}
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), 0)
-		return nil, nil, nil, false
+		return nil, nil, nil, badRequest(err.Error())
 	}
 	rt := obs.ReqTraceFrom(ctx)
 	sp := rt.Begin("registry.checkout", rt.RootID())
 	sp.Set("dataset", dataset)
-	g, release, err := s.data.Checkout(ctx, dataset)
+	g, release, err := s.checkout(ctx, dataset)
 	sp.End()
 	if err != nil {
-		if errors.Is(err, ErrUnknownDataset) {
-			writeError(w, http.StatusBadRequest, err.Error(), 0)
-		} else {
-			writeError(w, http.StatusServiceUnavailable, err.Error(), RetryAfterSeconds(5*time.Second))
-		}
-		return nil, nil, nil, false
+		return nil, nil, nil, err
 	}
-	return g, m, release, true
+	return g, m, release, nil
+}
+
+// checkout pins a dataset in the registry; an unknown name is the
+// caller's mistake (400), any other load failure the environment's
+// (503).
+func (s *Server) checkout(ctx context.Context, dataset string) (*mint.Graph, func(), error) {
+	g, release, err := s.data.Checkout(ctx, dataset)
+	switch {
+	case err == nil:
+		return g, release, nil
+	case errors.Is(err, ErrUnknownDataset):
+		return nil, nil, badRequest(err.Error())
+	default:
+		return nil, nil, NewError(http.StatusServiceUnavailable, err.Error(), 5*time.Second)
+	}
 }
 
 // rootWindowFor maps the wire-level root window onto the engine's.
@@ -428,71 +317,44 @@ func workloadKey(dataset string, m *mint.Motif) string {
 	return dataset + "/custom:" + m.String()
 }
 
-// budgetFor derives the request's budget and mining context. The
-// returned exact budget leaves a quarter of the wall headroom for the
-// estimator stage, mirroring the CLI fallback split.
-func (s *Server) budgetFor(ctx context.Context, timeoutMS, maxMatches, maxNodes int64) (mineCtx context.Context, cancel func(), full, exact runctl.Budget) {
-	now := time.Now()
-	full = runctl.DeriveBudget(now, time.Duration(timeoutMS)*time.Millisecond,
-		runctl.Budget{MaxMatches: maxMatches, MaxNodes: maxNodes}, s.cfg.Caps)
-	exact = full
-	if headroom := runctl.TimeoutFrom(now, full); headroom > 0 {
-		exact.Deadline = now.Add(headroom * 3 / 4)
-		mineCtx, cancel = context.WithDeadline(ctx, full.Deadline)
-		return mineCtx, cancel, full, exact
-	}
-	return ctx, func() {}, full, exact
-}
+// Backend ----------------------------------------------------------------
 
-// Handlers ---------------------------------------------------------------
-
-func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
-	var req CountRequest
-	if !s.decodeBody(w, r, &req) {
-		return
+// Count mines one motif, or a motif set in one co-mined run (batch
+// mode). A single motif runs the exact engine under three quarters of
+// the wall headroom, leaving the rest for the estimator stage,
+// mirroring the CLI fallback split.
+func (s *Server) Count(ctx context.Context, req *CountRequest, full runctl.Budget) (*CountResponse, error) {
+	exactBudget := full
+	if now := time.Now(); !full.Deadline.IsZero() {
+		exactBudget.Deadline = now.Add(runctl.TimeoutFrom(now, full) * 3 / 4)
 	}
-	ctx, cleanup := s.requestCtx(r)
-	defer cleanup()
-	release, ok := s.admit(w, ctx, req.Priority, "count")
-	if !ok {
-		return
-	}
-	defer release()
-	start := time.Now()
-	mineCtx, cancel, fullBudget, exactBudget := s.budgetFor(ctx, req.TimeoutMS, req.MaxMatches, req.MaxNodes)
-	defer cancel()
 	if len(req.Motifs) > 0 || len(req.MotifSpecs) > 0 {
 		// Batch mode: one co-mined run over the whole set. No sampling
 		// fallback exists for a motif set, so the batch gets the full
 		// budget — no estimator headroom to reserve.
 		if req.Motif != "" || req.MotifSpec != "" {
-			writeError(w, http.StatusBadRequest, "motifs/motif_specs conflicts with motif/motif_spec", 0)
-			return
+			return nil, badRequest("motifs/motif_specs conflicts with motif/motif_spec")
 		}
 		if req.Supervised {
-			writeError(w, http.StatusBadRequest, "supervised batch requests are not supported", 0)
-			return
+			return nil, badRequest("supervised batch requests are not supported")
 		}
-		s.handleCountBatch(w, mineCtx, &req, fullBudget, start)
-		return
+		return s.countBatch(ctx, req, full)
 	}
-	g, m, releaseData, ok := s.loadWorkload(w, mineCtx, req.Dataset, req.Motif, req.MotifSpec, req.DeltaSeconds)
-	if !ok {
-		return
+	g, m, releaseData, err := s.loadWorkload(ctx, req.Dataset, req.Motif, req.MotifSpec, req.DeltaSeconds)
+	if err != nil {
+		return nil, err
 	}
 	defer releaseData()
 	key := workloadKey(req.Dataset, m)
 	roots := rootWindowFor(req.RootWindow)
-	rt := obs.ReqTraceFrom(mineCtx)
+	rt := obs.ReqTraceFrom(ctx)
 	s.obs.Counter(obs.Labeled("server.workload.requests", "dataset", req.Dataset, "motif", m.Name)).Add(1)
 
 	if req.Supervised {
 		if roots != nil {
-			writeError(w, http.StatusBadRequest, "root_window is not supported with supervised", 0)
-			return
+			return nil, badRequest("root_window is not supported with supervised")
 		}
-		s.handleCountSupervised(w, mineCtx, &req, g, m, key, exactBudget, start)
-		return
+		return s.countSupervised(ctx, g, m, key, exactBudget)
 	}
 
 	decision := s.brk.Acquire(key)
@@ -501,15 +363,14 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 	bsp.Set("decision", decision.String())
 	bsp.End()
 	if decision == Degrade {
-		s.serveDegraded(w, mineCtx, &req, g, m, roots, start)
-		return
+		return s.countDegraded(ctx, g, m, roots)
 	}
 	msp := rt.Begin("mine", rt.RootID())
 	var tr *obs.Tracer
 	if rt != nil {
 		tr = obs.NewTracer(128)
 	}
-	res, err := mint.CountWithFallback(mineCtx, g, m, mint.FallbackConfig{
+	res, err := mint.CountWithFallback(ctx, g, m, mint.FallbackConfig{
 		Budget:  exactBudget,
 		Workers: s.cfg.Workers,
 		Chaos:   s.cfg.Chaos,
@@ -521,54 +382,27 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 	msp.Set("engine", res.Engine)
 	msp.End()
 	rt.ImportTracer(tr, msp.ID())
-	if err != nil || res.ExactResult.StopReason == mint.StopFaultInjected {
-		// A panic or injected fault is breaker evidence even when the
-		// estimator still salvaged an answer.
-		s.brk.Record(key, false)
-	} else {
-		s.brk.Record(key, true)
-	}
+	// A panic or injected fault is breaker evidence even when the
+	// estimator still salvaged an answer.
+	s.brk.Record(key, err == nil && res.ExactResult.StopReason != mint.StopFaultInjected)
 	if err != nil {
 		// The exact engine died (worker panic). Serve the degraded path
 		// rather than surfacing an opaque 500: the client gets an
 		// explicit estimate or a clean 503.
 		s.obs.Counter("server.exact_failed").Add(1)
-		s.serveDegraded(w, mineCtx, &req, g, m, roots, start)
-		return
+		return s.countDegraded(ctx, g, m, roots)
 	}
-	s.writeCount(w, rt, &req, countResponse(res, start))
-}
-
-// writeCount annotates the trace with the response's loud markers,
-// attaches the trace fields the request asked for, and writes the
-// response.
-func (s *Server) writeCount(w http.ResponseWriter, rt *obs.ReqTrace, req *CountRequest, out CountResponse) {
-	rt.Annotate("engine", out.Engine)
-	if out.Degraded {
-		rt.Annotate("degraded", "true")
-	}
-	if out.Truncated {
-		rt.Annotate("truncated", out.StopReason)
-	}
-	out.TraceID = rt.TraceID()
-	if req.Explain {
-		out.Explain = obs.BuildExplain(rt.Spans())
-	}
-	if req.ReturnTrace {
-		out.TraceFrag = rt.Spans()
-	}
-	writeJSON(w, http.StatusOK, out)
+	return countResponse(res), nil
 }
 
 // countResponse maps a FallbackResult onto the wire contract.
-func countResponse(res mint.FallbackResult, start time.Time) CountResponse {
-	out := CountResponse{
+func countResponse(res mint.FallbackResult) *CountResponse {
+	out := &CountResponse{
 		Count:        res.Count,
 		Exact:        res.Exact,
 		Degraded:     res.Approximate,
 		Engine:       res.Engine,
 		ExactPartial: res.ExactPartial,
-		WallMS:       float64(time.Since(start).Microseconds()) / 1000,
 	}
 	if !res.Exact && !res.Approximate {
 		out.Truncated = true
@@ -577,14 +411,14 @@ func countResponse(res mint.FallbackResult, start time.Time) CountResponse {
 	return out
 }
 
-// serveDegraded is the breaker-open (or exact-engine-failed) path: the
+// countDegraded is the breaker-open (or exact-engine-failed) path: the
 // fallback ladder with a token exact budget, so the answer comes from
 // PRESTO unless the workload is trivially small. Every success is
 // marked "degraded" unless the tiny exact attempt actually completed.
 // Root-windowed requests (scatter-gather fan-out) never reach PRESTO —
 // the fallback layer returns the exact partial lower bound instead,
 // because an estimate cannot be scoped to a root window.
-func (s *Server) serveDegraded(w http.ResponseWriter, ctx context.Context, req *CountRequest, g *mint.Graph, m *mint.Motif, roots *mint.RootWindow, start time.Time) {
+func (s *Server) countDegraded(ctx context.Context, g *mint.Graph, m *mint.Motif, roots *mint.RootWindow) (*CountResponse, error) {
 	s.obs.Counter("server.degraded_served").Add(1)
 	rt := obs.ReqTraceFrom(ctx)
 	sp := rt.Begin("mine.degraded", rt.RootID())
@@ -601,11 +435,9 @@ func (s *Server) serveDegraded(w http.ResponseWriter, ctx context.Context, req *
 	sp.End()
 	if err != nil {
 		s.obs.Counter("server.degraded_failed").Add(1)
-		writeError(w, http.StatusServiceUnavailable,
-			"degraded path failed: "+err.Error(), RetryAfterSeconds(s.adm.RetryAfter()))
-		return
+		return nil, fmt.Errorf("degraded path failed: %w", err)
 	}
-	s.writeCount(w, rt, req, countResponse(res, start))
+	return countResponse(res), nil
 }
 
 // batchMotifs resolves a batch request's motif list: named motifs
@@ -635,23 +467,22 @@ func batchMotifs(req *CountRequest) ([]*mint.Motif, error) {
 	return motifs, nil
 }
 
-// handleCountBatch serves a multi-motif count as ONE co-mined engine
-// run under one shared budget. The contract is exact-or-loud: there is
-// no PRESTO fallback for a motif set, so every entry is either the
-// exact count or a truncated lower bound flagged with its stop reason
-// — a fault-injected or panicked run answers 200 with every affected
-// entry loudly truncated, never a silently short sum.
-func (s *Server) handleCountBatch(w http.ResponseWriter, ctx context.Context, req *CountRequest, full runctl.Budget, start time.Time) {
+// countBatch serves a multi-motif count as ONE co-mined engine run
+// under one shared budget. The contract is exact-or-loud: there is no
+// PRESTO fallback for a motif set, so every entry is either the exact
+// count or a truncated lower bound flagged with its stop reason — a
+// fault-injected or panicked run answers 200 with every affected entry
+// loudly truncated, never a silently short sum.
+func (s *Server) countBatch(ctx context.Context, req *CountRequest, full runctl.Budget) (*CountResponse, error) {
 	motifs, err := batchMotifs(req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), 0)
-		return
+		return nil, badRequest(err.Error())
 	}
-	// Registry checkout only — the dummy motif name mirrors
-	// handleProfile; the real set is resolved above.
-	g, _, releaseData, ok := s.loadWorkload(w, ctx, req.Dataset, "M1", "", req.DeltaSeconds)
-	if !ok {
-		return
+	// Registry checkout only — the dummy motif name mirrors Profile;
+	// the real set is resolved above.
+	g, _, releaseData, err := s.loadWorkload(ctx, req.Dataset, "M1", "", req.DeltaSeconds)
+	if err != nil {
+		return nil, err
 	}
 	defer releaseData()
 	rt := obs.ReqTraceFrom(ctx)
@@ -668,9 +499,7 @@ func (s *Server) handleCountBatch(w http.ResponseWriter, ctx context.Context, re
 		// Like enumeration, a batch has no degraded engine: shed cleanly
 		// while the breaker cools down.
 		s.obs.Counter("server.batch_degraded_unavailable").Add(1)
-		writeError(w, http.StatusServiceUnavailable,
-			"workload breaker open and batch counting has no degraded mode", RetryAfterSeconds(s.adm.RetryAfter()))
-		return
+		return nil, errors.New("workload breaker open and batch counting has no degraded mode")
 	}
 	msp := rt.Begin("mine.batch", rt.RootID())
 	var tr *obs.Tracer
@@ -691,14 +520,12 @@ func (s *Server) handleCountBatch(w http.ResponseWriter, ctx context.Context, re
 	s.brk.Record(key, err == nil && res.StopReason != mint.StopFaultInjected)
 	if err != nil && len(res.PerMotif) == 0 {
 		// Setup failure (bad motif set) — nothing loud to serve.
-		writeError(w, http.StatusServiceUnavailable, err.Error(), RetryAfterSeconds(s.adm.RetryAfter()))
-		return
+		return nil, err
 	}
-	out := CountResponse{
+	out := &CountResponse{
 		Engine:   mint.EngineExact,
 		Exact:    !res.Truncated,
 		PerMotif: make([]MotifCountEntry, len(res.PerMotif)),
-		WallMS:   float64(time.Since(start).Microseconds()) / 1000,
 	}
 	for i, pm := range res.PerMotif {
 		e := MotifCountEntry{
@@ -720,15 +547,14 @@ func (s *Server) handleCountBatch(w http.ResponseWriter, ctx context.Context, re
 		out.Truncated = true
 		out.StopReason = res.StopReason.String()
 	}
-	s.writeCount(w, rt, req, out)
+	return out, nil
 }
 
-// handleCountSupervised runs the checkpointing miner so a drain (or
-// crash) mid-request leaves resumable evidence instead of lost work.
-func (s *Server) handleCountSupervised(w http.ResponseWriter, ctx context.Context, req *CountRequest, g *mint.Graph, m *mint.Motif, key string, b runctl.Budget, start time.Time) {
+// countSupervised runs the checkpointing miner so a drain (or crash)
+// mid-request leaves resumable evidence instead of lost work.
+func (s *Server) countSupervised(ctx context.Context, g *mint.Graph, m *mint.Motif, key string, b runctl.Budget) (*CountResponse, error) {
 	if s.cfg.CheckpointDir == "" {
-		writeError(w, http.StatusBadRequest, "supervised requests need a server checkpoint dir (-checkpoint-dir)", 0)
-		return
+		return nil, badRequest("supervised requests need a server checkpoint dir (-checkpoint-dir)")
 	}
 	rt := obs.ReqTraceFrom(ctx)
 	path := filepath.Join(s.cfg.CheckpointDir,
@@ -739,82 +565,57 @@ func (s *Server) handleCountSupervised(w http.ResponseWriter, ctx context.Contex
 	sp.End()
 	if err != nil {
 		s.brk.Record(key, false)
-		writeError(w, http.StatusServiceUnavailable, err.Error(), RetryAfterSeconds(s.adm.RetryAfter()))
-		return
+		return nil, err
 	}
 	s.brk.Record(key, res.StopReason != mint.StopFaultInjected && len(res.Poisoned) == 0)
-	out := CountResponse{
+	out := &CountResponse{
 		Count:        float64(res.Matches),
 		Exact:        !res.Truncated,
 		Engine:       mint.EngineExact,
 		ExactPartial: res.Matches,
 		Checkpoint:   path,
-		WallMS:       float64(time.Since(start).Microseconds()) / 1000,
 	}
 	if res.Truncated {
 		out.Engine = mint.EnginePartial
 		out.Truncated = true
 		out.StopReason = res.StopReason.String()
 	}
-	s.writeCount(w, rt, req, out)
+	return out, nil
 }
 
-func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
-	var req EnumerateRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	if req.Limit <= 0 {
-		writeError(w, http.StatusBadRequest, "limit must be positive", 0)
-		return
-	}
-	if req.Limit > s.cfg.EnumerateMaxLimit {
-		req.Limit = s.cfg.EnumerateMaxLimit
-	}
+// Enumerate serves one page of matches. Pagination rides the
+// deterministic chronological search order: the budget stops the walk
+// at offset+limit matches, and the first offset are skipped as they
+// stream by.
+func (s *Server) Enumerate(ctx context.Context, req *EnumerateRequest, full runctl.Budget) (*EnumerateResponse, error) {
 	offset := int64(0)
 	if req.PageToken != "" {
 		var err error
 		offset, err = strconv.ParseInt(req.PageToken, 10, 64)
 		if err != nil || offset < 0 {
-			writeError(w, http.StatusBadRequest, "malformed page_token", 0)
-			return
+			return nil, badRequest("malformed page_token")
 		}
 	}
-	ctx, cleanup := s.requestCtx(r)
-	defer cleanup()
-	release, ok := s.admit(w, ctx, req.Priority, "enumerate")
-	if !ok {
-		return
-	}
-	defer release()
-	start := time.Now()
-	mineCtx, cancel, full, _ := s.budgetFor(ctx, req.TimeoutMS, 0, 0)
-	defer cancel()
-	g, m, releaseData, ok := s.loadWorkload(w, mineCtx, req.Dataset, req.Motif, req.MotifSpec, req.DeltaSeconds)
-	if !ok {
-		return
+	g, m, releaseData, err := s.loadWorkload(ctx, req.Dataset, req.Motif, req.MotifSpec, req.DeltaSeconds)
+	if err != nil {
+		return nil, err
 	}
 	defer releaseData()
 	key := workloadKey(req.Dataset, m)
-	rt := obs.ReqTraceFrom(mineCtx)
+	rt := obs.ReqTraceFrom(ctx)
 	if s.brk.Acquire(key) == Degrade {
 		// Enumeration has no sampling fallback: shed cleanly while the
 		// breaker cools down rather than burn a slot on a likely panic.
 		s.obs.Counter("server.enumerate_degraded_unavailable").Add(1)
-		writeError(w, http.StatusServiceUnavailable,
-			"workload breaker open and enumeration has no degraded mode", RetryAfterSeconds(s.adm.RetryAfter()))
-		return
+		return nil, errors.New("workload breaker open and enumeration has no degraded mode")
 	}
 
-	// Pagination rides the deterministic chronological search order: the
-	// budget stops the walk at offset+limit matches, and the first
-	// offset are skipped as they stream by.
 	b := full
 	b.MaxMatches = offset + int64(req.Limit)
 	matches := make([][]int32, 0, req.Limit)
 	var seen int64
 	msp := rt.Begin("mine.enumerate", rt.RootID())
-	res := mint.EnumerateChaosRootsCtx(mineCtx, g, m, b, s.cfg.Chaos, rootWindowFor(req.RootWindow), func(edges []int32) {
+	res := mint.EnumerateChaosRootsCtx(ctx, g, m, b, s.cfg.Chaos, rootWindowFor(req.RootWindow), func(edges []int32) {
 		seen++
 		if seen <= offset {
 			return
@@ -825,10 +626,7 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 	})
 	msp.End()
 	s.brk.Record(key, res.StopReason != mint.StopFaultInjected)
-	out := EnumerateResponse{
-		Matches: matches,
-		WallMS:  float64(time.Since(start).Microseconds()) / 1000,
-	}
+	out := &EnumerateResponse{Matches: matches}
 	switch {
 	case res.Truncated && res.StopReason == mint.StopMatchBudget:
 		// The page filled: not a truncation, just the next page.
@@ -836,51 +634,29 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 	case res.Truncated:
 		out.Truncated = true
 		out.StopReason = res.StopReason.String()
-		rt.Annotate("truncated", out.StopReason)
 	}
-	out.TraceID = rt.TraceID()
-	if req.Explain {
-		out.Explain = obs.BuildExplain(rt.Spans())
-	}
-	if req.ReturnTrace {
-		out.TraceFrag = rt.Spans()
-	}
-	writeJSON(w, http.StatusOK, out)
+	return out, nil
 }
 
-func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	var req ProfileRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	ctx, cleanup := s.requestCtx(r)
-	defer cleanup()
-	release, ok := s.admit(w, ctx, req.Priority, "profile")
-	if !ok {
-		return
-	}
-	defer release()
-	start := time.Now()
-	mineCtx, cancel, full, _ := s.budgetFor(ctx, req.TimeoutMS, 0, 0)
-	defer cancel()
-	g, _, releaseData, ok := s.loadWorkload(w, mineCtx, req.Dataset, "M1", "", req.DeltaSeconds)
-	if !ok {
-		return
+// Profile counts M1–M4 on a dataset.
+func (s *Server) Profile(ctx context.Context, req *ProfileRequest, full runctl.Budget) (*ProfileResponse, error) {
+	g, _, releaseData, err := s.loadWorkload(ctx, req.Dataset, "M1", "", req.DeltaSeconds)
+	if err != nil {
+		return nil, err
 	}
 	defer releaseData()
 	delta := mint.Timestamp(req.DeltaSeconds)
 	if delta <= 0 {
 		delta = mint.DeltaHour
 	}
-	rt := obs.ReqTraceFrom(mineCtx)
+	rt := obs.ReqTraceFrom(ctx)
 	msp := rt.Begin("mine.profile", rt.RootID())
-	counts, err := mint.ProfileCtx(mineCtx, g, mint.EvaluationMotifs(delta), s.cfg.Workers, full)
+	counts, err := mint.ProfileCtx(ctx, g, mint.EvaluationMotifs(delta), s.cfg.Workers, full)
 	msp.End()
 	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, err.Error(), RetryAfterSeconds(s.adm.RetryAfter()))
-		return
+		return nil, err
 	}
-	out := ProfileResponse{WallMS: float64(time.Since(start).Microseconds()) / 1000, TraceID: rt.TraceID()}
+	out := &ProfileResponse{}
 	for _, c := range counts {
 		e := ProfileEntry{
 			Motif:     c.Motif.Name,
@@ -894,41 +670,25 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		}
 		out.Profile = append(out.Profile, e)
 	}
-	if req.Explain {
-		out.Explain = obs.BuildExplain(rt.Spans())
-	}
-	writeJSON(w, http.StatusOK, out)
+	return out, nil
 }
 
-// handleDatasetInfo reports the shape, time extent, and identity
-// fingerprint of a served dataset. A scatter-gather coordinator calls it
-// once per worker before fanning out: the span feeds the shard plan and
-// the fingerprints must agree before any merge (two workers serving
+// DatasetInfo reports the shape, time extent, and identity fingerprint
+// of a served dataset. A scatter-gather coordinator calls it once per
+// worker before fanning out: the span feeds the shard plan and the
+// fingerprints must agree before any merge (two workers serving
 // different data under one name must fail the fan-out loudly, not sum
-// into a silently wrong count). It skips admission — it mines nothing
-// and must stay answerable under load so coordinators can plan.
-func (s *Server) handleDatasetInfo(w http.ResponseWriter, r *http.Request) {
-	var req DatasetInfoRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
+// into a silently wrong count).
+func (s *Server) DatasetInfo(ctx context.Context, req *DatasetInfoRequest) (*DatasetInfoResponse, error) {
 	if req.Dataset == "" {
-		writeError(w, http.StatusBadRequest, "dataset is required", 0)
-		return
+		return nil, badRequest("dataset is required")
 	}
-	ctx, cleanup := s.requestCtx(r)
-	defer cleanup()
-	g, release, err := s.data.Checkout(ctx, req.Dataset)
+	g, release, err := s.checkout(ctx, req.Dataset)
 	if err != nil {
-		if errors.Is(err, ErrUnknownDataset) {
-			writeError(w, http.StatusBadRequest, err.Error(), 0)
-		} else {
-			writeError(w, http.StatusServiceUnavailable, err.Error(), RetryAfterSeconds(5*time.Second))
-		}
-		return
+		return nil, err
 	}
 	defer release()
-	out := DatasetInfoResponse{
+	out := &DatasetInfoResponse{
 		Dataset:     req.Dataset,
 		Nodes:       g.NumNodes(),
 		Edges:       g.NumEdges(),
@@ -939,79 +699,62 @@ func (s *Server) handleDatasetInfo(w http.ResponseWriter, r *http.Request) {
 		out.MinTS = int64(g.Edges[0].Time)
 		out.MaxTS = int64(g.Edges[n-1].Time)
 	}
-	writeJSON(w, http.StatusOK, out)
+	return out, nil
 }
 
-// Health -----------------------------------------------------------------
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	EchoTraceID(w, r)
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	EchoTraceID(w, r)
-	if s.Draining() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "draining"})
-		return
-	}
+// Ready reports the admission queue and loaded datasets. A server with
+// ingestion is not ready until WAL replay has rebuilt the live graph —
+// and, as a follower, until fingerprint-verified catch-up: flipping
+// ready earlier would route traffic to a dataset still missing durable
+// edges.
+func (s *Server) Ready(context.Context) (int, any) {
 	out := map[string]any{
 		"status":   "ready",
 		"queued":   s.adm.queued.Load(),
 		"datasets": s.data.Names(),
 	}
-	if s.cfg.Ingest.Enabled() {
-		// A restarting ingest server is not ready until WAL replay has
-		// rebuilt the live graph: flipping ready earlier would route
-		// traffic to a dataset that is still missing durable edges.
-		if s.liveReplaying.Load() {
-			body := map[string]any{"status": "replaying"}
-			// Replay progress: how far through the WAL the rebuild is, so
-			// an operator watching readyz can tell stuck from slow.
-			if p, ok := s.replayProg.Load().(edgelog.ReplayProgress); ok {
-				body["progress"] = p
-			}
-			writeJSON(w, http.StatusServiceUnavailable, body)
-			return
-		}
-		st, err := s.liveStream()
-		if err != nil {
-			writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-				"status": "ingest_failed", "error": err.Error(),
-			})
-			return
-		}
-		if _, following := s.followingSource(); following {
-			// A follower is not ready until fingerprint-verified catch-up:
-			// routing reads to a syncing standby would serve answers from a
-			// graph that is behind the primary's acked history.
-			f := s.currentFollower()
-			if f == nil || !f.CaughtUp() {
-				body := map[string]any{"status": "syncing"}
-				if f != nil {
-					body["replication"] = f.Status()
-				}
-				writeJSON(w, http.StatusServiceUnavailable, body)
-				return
-			}
-			out["replication"] = f.Status()
-		}
-		info := st.Info()
-		s.liveMu.Lock()
-		rec := s.liveRec
-		s.liveMu.Unlock()
-		out["ingest"] = map[string]any{
-			"dataset":          s.cfg.Ingest.Name(),
-			"seq":              info.Seq,
-			"edges":            info.Edges,
-			"segments":         info.Segments,
-			"replayed_records": rec.Records,
-			// replay_truncated means a crash tore the WAL tail and replay
-			// recovered the longest valid prefix — loud, by contract.
-			"replay_truncated": rec.Truncated,
-		}
+	if !s.cfg.Ingest.Enabled() {
+		return http.StatusOK, out
 	}
-	writeJSON(w, http.StatusOK, out)
+	if s.liveReplaying.Load() {
+		body := map[string]any{"status": "replaying"}
+		// Replay progress: how far through the WAL the rebuild is, so an
+		// operator watching readyz can tell stuck from slow.
+		if p, ok := s.replayProg.Load().(edgelog.ReplayProgress); ok {
+			body["progress"] = p
+		}
+		return http.StatusServiceUnavailable, body
+	}
+	st, err := s.liveStream()
+	if err != nil {
+		return http.StatusServiceUnavailable, map[string]any{"status": "ingest_failed", "error": err.Error()}
+	}
+	if _, following := s.followingSource(); following {
+		f := s.currentFollower()
+		if f == nil || !f.CaughtUp() {
+			body := map[string]any{"status": "syncing"}
+			if f != nil {
+				body["replication"] = f.Status()
+			}
+			return http.StatusServiceUnavailable, body
+		}
+		out["replication"] = f.Status()
+	}
+	info := st.Info()
+	s.liveMu.Lock()
+	rec := s.liveRec
+	s.liveMu.Unlock()
+	out["ingest"] = map[string]any{
+		"dataset":          s.cfg.Ingest.Name(),
+		"seq":              info.Seq,
+		"edges":            info.Edges,
+		"segments":         info.Segments,
+		"replayed_records": rec.Records,
+		// replay_truncated means a crash tore the WAL tail and replay
+		// recovered the longest valid prefix — loud, by contract.
+		"replay_truncated": rec.Truncated,
+	}
+	return http.StatusOK, out
 }
 
 // sanitizeKey makes a workload key filesystem-safe for checkpoint names.

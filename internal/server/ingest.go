@@ -291,36 +291,33 @@ type StandingListResponse struct {
 
 // Handlers ---------------------------------------------------------------
 
-// writeLiveError maps live-stream resolution errors onto the response
+// liveError maps live-stream resolution errors onto the response
 // contract: disabled is the caller's mistake (400), replaying and
 // broken are environment (503 with Retry-After).
-func (s *Server) writeLiveError(w http.ResponseWriter, err error) {
+func liveError(err error) error {
 	switch {
 	case errors.Is(err, ErrIngestDisabled):
-		writeError(w, http.StatusBadRequest, err.Error(), 0)
+		return badRequest(err.Error())
 	case errors.Is(err, ErrReplaying):
-		writeError(w, http.StatusServiceUnavailable, err.Error(), RetryAfterSeconds(2*time.Second))
+		return NewError(http.StatusServiceUnavailable, err.Error(), 2*time.Second)
 	default:
-		writeError(w, http.StatusServiceUnavailable, err.Error(), RetryAfterSeconds(30*time.Second))
+		return NewError(http.StatusServiceUnavailable, err.Error(), 30*time.Second)
 	}
 }
 
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if !s.gateWrites(w) {
-		return
+func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) (any, error) {
+	if err := s.gateWrites(); err != nil {
+		return nil, err
 	}
 	var req IngestRequest
-	if !s.decodeBody(w, r, &req) {
-		return
+	if err := s.decode(w, r, &req); err != nil {
+		return nil, err
 	}
 	if len(req.Edges) == 0 {
-		writeError(w, http.StatusBadRequest, "edges are required", 0)
-		return
+		return nil, badRequest("edges are required")
 	}
 	if max := s.cfg.Ingest.maxBatch(); len(req.Edges) > max {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("batch of %d edges exceeds the %d-edge limit (split the batch)", len(req.Edges), max), 0)
-		return
+		return nil, badRequest(fmt.Sprintf("batch of %d edges exceeds the %d-edge limit (split the batch)", len(req.Edges), max))
 	}
 	ctx, cleanup := s.requestCtx(r)
 	defer cleanup()
@@ -328,23 +325,20 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// drowning in queries sheds appends too (the client retries with
 	// the same client_seq, so shedding is free), and the queue bound is
 	// the ingest backpressure.
-	release, ok := s.admit(w, ctx, req.Priority, "edges")
-	if !ok {
-		return
+	release, err := s.admit(ctx, req.Priority, "edges")
+	if err != nil {
+		return nil, err
 	}
 	defer release()
 	start := time.Now()
 	st, err := s.liveStream()
 	if err != nil {
-		s.writeLiveError(w, err)
-		return
+		return nil, liveError(err)
 	}
 	edges := make([]mint.Edge, len(req.Edges))
 	for i, e := range req.Edges {
 		if e.Src < 0 || e.Dst < 0 || e.Src > math.MaxInt32 || e.Dst > math.MaxInt32 {
-			writeError(w, http.StatusBadRequest,
-				"edge endpoints must fit int32 and be non-negative", 0)
-			return
+			return nil, badRequest("edge endpoints must fit int32 and be non-negative")
 		}
 		edges[i] = mint.Edge{Src: mint.NodeID(e.Src), Dst: mint.NodeID(e.Dst), Time: mint.Timestamp(e.Time)}
 	}
@@ -355,14 +349,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		s.obs.Counter("server.ingest.append_failed").Add(1)
 		if errors.Is(err, mint.ErrInvalidEdge) {
-			writeError(w, http.StatusBadRequest, err.Error(), 0)
-			return
+			return nil, badRequest(err.Error())
 		}
 		// Durability failure (WAL write/fsync, injected fault): nothing
 		// was applied; the client's retry with the same client_seq is
 		// safe.
-		writeError(w, http.StatusServiceUnavailable, err.Error(), RetryAfterSeconds(5*time.Second))
-		return
+		return nil, NewError(http.StatusServiceUnavailable, err.Error(), 5*time.Second)
 	}
 	if !res.Dup {
 		// The dataset moved: drop the cached graph so the next mining
@@ -373,7 +365,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if res.Stale {
 		rt.Annotate("standing_stale", "true")
 	}
-	out := IngestResponse{
+	return IngestResponse{
 		Seq:         res.Seq,
 		Dup:         res.Dup,
 		Accepted:    res.Accepted,
@@ -381,23 +373,21 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		Stale:       res.Stale,
 		Edges:       info.Edges,
 		Fingerprint: info.Fingerprint,
-		WallMS:      float64(time.Since(start).Microseconds()) / 1000,
+		WallMS:      wallMS(start),
 		TraceID:     rt.TraceID(),
-	}
-	writeJSON(w, http.StatusOK, out)
+	}, nil
 }
 
-func (s *Server) handleStandingRegister(w http.ResponseWriter, r *http.Request) {
-	if !s.gateWrites(w) {
-		return
+func (s *Server) handleStandingRegister(w http.ResponseWriter, r *http.Request) (any, error) {
+	if err := s.gateWrites(); err != nil {
+		return nil, err
 	}
 	var req StandingRegisterRequest
-	if !s.decodeBody(w, r, &req) {
-		return
+	if err := s.decode(w, r, &req); err != nil {
+		return nil, err
 	}
 	if req.Name == "" {
-		writeError(w, http.StatusBadRequest, "name is required", 0)
-		return
+		return nil, badRequest("name is required")
 	}
 	delta := mint.Timestamp(req.DeltaSeconds)
 	if delta <= 0 {
@@ -415,23 +405,21 @@ func (s *Server) handleStandingRegister(w http.ResponseWriter, r *http.Request) 
 		m, err = mint.MotifByName(name, delta)
 	}
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error(), 0)
-		return
+		return nil, badRequest(err.Error())
 	}
 	ctx, cleanup := s.requestCtx(r)
 	defer cleanup()
 	// Registration runs a full mine to seed the count; it pays
 	// admission like any mining request.
-	release, ok := s.admit(w, ctx, req.Priority, "standing")
-	if !ok {
-		return
+	release, err := s.admit(ctx, req.Priority, "standing")
+	if err != nil {
+		return nil, err
 	}
 	defer release()
 	start := time.Now()
 	st, err := s.liveStream()
 	if err != nil {
-		s.writeLiveError(w, err)
-		return
+		return nil, liveError(err)
 	}
 	rt := obs.ReqTraceFrom(ctx)
 	sp := rt.Begin("ingest.register", rt.RootID())
@@ -440,58 +428,45 @@ func (s *Server) handleStandingRegister(w http.ResponseWriter, r *http.Request) 
 	if err != nil {
 		// Register refuses truncated initial mines rather than seeding a
 		// silently short baseline.
-		writeError(w, http.StatusServiceUnavailable, err.Error(), RetryAfterSeconds(s.adm.RetryAfter()))
-		return
+		return nil, err
 	}
-	writeJSON(w, http.StatusOK, StandingResponse{
-		Standing: sc,
-		WallMS:   float64(time.Since(start).Microseconds()) / 1000,
-		TraceID:  rt.TraceID(),
-	})
+	return StandingResponse{Standing: sc, WallMS: wallMS(start), TraceID: rt.TraceID()}, nil
 }
 
-func (s *Server) handleStandingList(w http.ResponseWriter, r *http.Request) {
-	ctx, cleanup := s.requestCtx(r)
-	defer cleanup()
+func (s *Server) handleStandingList(w http.ResponseWriter, r *http.Request) (any, error) {
 	start := time.Now()
 	st, err := s.liveStream()
 	if err != nil {
-		s.writeLiveError(w, err)
-		return
+		return nil, liveError(err)
 	}
-	rt := obs.ReqTraceFrom(ctx)
 	info := st.Info()
-	writeJSON(w, http.StatusOK, StandingListResponse{
+	return StandingListResponse{
 		Dataset:  s.cfg.Ingest.Name(),
 		Seq:      info.Seq,
 		Standing: st.Standing(),
-		WallMS:   float64(time.Since(start).Microseconds()) / 1000,
-		TraceID:  rt.TraceID(),
-	})
+		WallMS:   wallMS(start),
+		TraceID:  obs.ReqTraceFrom(r.Context()).TraceID(),
+	}, nil
 }
 
-func (s *Server) handleStandingUnregister(w http.ResponseWriter, r *http.Request) {
-	if !s.gateWrites(w) {
-		return
+func (s *Server) handleStandingUnregister(w http.ResponseWriter, r *http.Request) (any, error) {
+	if err := s.gateWrites(); err != nil {
+		return nil, err
 	}
 	name := r.PathValue("name")
 	if name == "" {
-		writeError(w, http.StatusBadRequest, "name is required", 0)
-		return
+		return nil, badRequest("name is required")
 	}
 	st, err := s.liveStream()
 	if err != nil {
-		s.writeLiveError(w, err)
-		return
+		return nil, liveError(err)
 	}
 	ok, err := st.Unregister(name)
 	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, err.Error(), RetryAfterSeconds(30*time.Second))
-		return
+		return nil, NewError(http.StatusServiceUnavailable, err.Error(), 30*time.Second)
 	}
 	if !ok {
-		writeError(w, http.StatusNotFound, "no standing query named "+name, 0)
-		return
+		return nil, NewError(http.StatusNotFound, "no standing query named "+name, 0)
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "unregistered", "name": name})
+	return map[string]string{"status": "unregistered", "name": name}, nil
 }

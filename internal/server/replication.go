@@ -91,51 +91,43 @@ func (s *Server) currentFollower() *replica.Follower {
 // gateWrites refuses mutating live-dataset requests on nodes that must
 // not accept them: unpromoted followers (writes go to the primary) and
 // fenced ex-primaries (a newer epoch exists; acking anything here would
-// be a split-brain double count). Returns false after writing the error.
-func (s *Server) gateWrites(w http.ResponseWriter) bool {
+// be a split-brain double count).
+func (s *Server) gateWrites() error {
 	if s.fenced.Load() {
-		writeError(w, http.StatusServiceUnavailable,
+		return NewError(http.StatusServiceUnavailable,
 			"this node was deposed (a newer replication epoch exists); refusing writes", 0)
-		return false
 	}
 	if src, ok := s.followingSource(); ok {
-		writeError(w, http.StatusConflict,
-			"this node is a follower of "+src+"; send writes to the primary", 0)
-		return false
+		return NewError(http.StatusConflict, "this node is a follower of "+src+"; send writes to the primary", 0)
 	}
-	return true
+	return nil
 }
 
 // handleReplicationPull ships durable WAL records. The request's epoch
 // is the fencing probe: newer than ours means we were deposed.
-func (s *Server) handleReplicationPull(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleReplicationPull(w http.ResponseWriter, r *http.Request) (any, error) {
 	var req replica.PullRequest
-	if !s.decodeBody(w, r, &req) {
-		return
+	if err := s.decode(w, r, &req); err != nil {
+		return nil, err
 	}
 	if req.Dataset != "" && req.Dataset != s.cfg.Ingest.Name() {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("dataset %q is not this node's live dataset (%q)", req.Dataset, s.cfg.Ingest.Name()), 0)
-		return
+		return nil, badRequest(fmt.Sprintf("dataset %q is not this node's live dataset (%q)", req.Dataset, s.cfg.Ingest.Name()))
 	}
 	st, err := s.liveStream()
 	if err != nil {
-		s.writeLiveError(w, err)
-		return
+		return nil, liveError(err)
 	}
 	epoch := st.Epoch()
 	if req.Epoch > epoch {
 		if !s.fenced.Swap(true) {
 			s.obs.Counter("server.replication.fenced").Add(1)
 		}
-		writeError(w, http.StatusConflict,
-			fmt.Sprintf("epoch fence: pull carries epoch %d, this node is at %d — deposed, refusing to ship", req.Epoch, epoch), 0)
-		return
+		return nil, NewError(http.StatusConflict, fmt.Sprintf(
+			"epoch fence: pull carries epoch %d, this node is at %d — deposed, refusing to ship", req.Epoch, epoch), 0)
 	}
 	if s.fenced.Load() {
-		writeError(w, http.StatusConflict,
+		return nil, NewError(http.StatusConflict,
 			"this node was deposed (a newer replication epoch exists); not shipping records", 0)
-		return
 	}
 
 	ctx, cleanup := s.requestCtx(r)
@@ -148,8 +140,7 @@ func (s *Server) handleReplicationPull(w http.ResponseWriter, r *http.Request) {
 	for st.Info().Seq < req.FromSeq && wait > 0 && time.Now().Before(deadline) {
 		select {
 		case <-ctx.Done():
-			writeError(w, http.StatusServiceUnavailable, "pull cancelled", 0)
-			return
+			return nil, NewError(http.StatusServiceUnavailable, "pull cancelled", 0)
 		case <-time.After(50 * time.Millisecond):
 		}
 	}
@@ -170,8 +161,7 @@ func (s *Server) handleReplicationPull(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, edgelog.ErrCompacted):
 		out.Compacted = true
 	case err != nil:
-		writeError(w, http.StatusServiceUnavailable, err.Error(), RetryAfterSeconds(5*time.Second))
-		return
+		return nil, NewError(http.StatusServiceUnavailable, err.Error(), 5*time.Second)
 	default:
 		out.TailBytes = tail
 		out.Records = make([]replica.WireRecord, len(recs))
@@ -180,46 +170,40 @@ func (s *Server) handleReplicationPull(w http.ResponseWriter, r *http.Request) {
 		}
 		s.obs.Counter("server.replication.shipped_records").Add(int64(len(recs)))
 	}
-	writeJSON(w, http.StatusOK, out)
+	return out, nil
 }
 
 // handleReplicationSnapshot ships the on-disk snapshot for a follower
 // whose position was compacted away.
-func (s *Server) handleReplicationSnapshot(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleReplicationSnapshot(w http.ResponseWriter, r *http.Request) (any, error) {
 	st, err := s.liveStream()
 	if err != nil {
-		s.writeLiveError(w, err)
-		return
+		return nil, liveError(err)
 	}
 	if s.fenced.Load() {
-		writeError(w, http.StatusConflict,
+		return nil, NewError(http.StatusConflict,
 			"this node was deposed (a newer replication epoch exists); not shipping a snapshot", 0)
-		return
 	}
 	snap, err := st.LoadSnapshot()
 	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, err.Error(), RetryAfterSeconds(5*time.Second))
-		return
+		return nil, NewError(http.StatusServiceUnavailable, err.Error(), 5*time.Second)
 	}
 	if snap == nil {
-		writeError(w, http.StatusNotFound, "no snapshot exists yet", 0)
-		return
+		return nil, NewError(http.StatusNotFound, "no snapshot exists yet", 0)
 	}
-	writeJSON(w, http.StatusOK, replica.SnapshotResponse{Dataset: s.cfg.Ingest.Name(), Snapshot: snap})
+	return replica.SnapshotResponse{Dataset: s.cfg.Ingest.Name(), Snapshot: snap}, nil
 }
 
 // handleReplicationStatus reports this node's replication view: a
 // follower answers with its sync state, a primary with its position.
-func (s *Server) handleReplicationStatus(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleReplicationStatus(w http.ResponseWriter, r *http.Request) (any, error) {
 	st, err := s.liveStream()
 	if err != nil {
-		s.writeLiveError(w, err)
-		return
+		return nil, liveError(err)
 	}
 	if _, following := s.followingSource(); following {
 		if f := s.currentFollower(); f != nil {
-			writeJSON(w, http.StatusOK, f.Status())
-			return
+			return f.Status(), nil
 		}
 	}
 	info := st.Info()
@@ -227,7 +211,7 @@ func (s *Server) handleReplicationStatus(w http.ResponseWriter, r *http.Request)
 	if s.fenced.Load() {
 		state = "fenced"
 	}
-	writeJSON(w, http.StatusOK, replica.Status{
+	return replica.Status{
 		Dataset:     s.cfg.Ingest.Name(),
 		Role:        "primary",
 		State:       state,
@@ -236,22 +220,20 @@ func (s *Server) handleReplicationStatus(w http.ResponseWriter, r *http.Request)
 		Fingerprint: info.Fingerprint,
 		CaughtUp:    true,
 		Fenced:      s.fenced.Load(),
-	})
+	}, nil
 }
 
 // handlePromote seals a follower's log under a new epoch and flips it
 // to primary. Refuses diverged followers always; refuses laggy ones
 // unless ?force=1 explicitly accepts losing the unreplicated tail.
-func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) (any, error) {
 	st, err := s.liveStream()
 	if err != nil {
-		s.writeLiveError(w, err)
-		return
+		return nil, liveError(err)
 	}
 	if s.fenced.Load() {
-		writeError(w, http.StatusConflict,
+		return nil, NewError(http.StatusConflict,
 			"this node was deposed (a newer replication epoch exists); it cannot be promoted", 0)
-		return
 	}
 	s.promoteMu.Lock()
 	defer s.promoteMu.Unlock()
@@ -261,10 +243,7 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	f, stop, done := s.follower, s.followerStop, s.followerDone
 	s.replMu.Unlock()
 	if alreadyPrimary {
-		writeJSON(w, http.StatusOK, PromoteResponse{
-			Status: "already_primary", Dataset: s.cfg.Ingest.Name(), Epoch: st.Epoch(),
-		})
-		return
+		return PromoteResponse{Status: "already_primary", Dataset: s.cfg.Ingest.Name(), Epoch: st.Epoch()}, nil
 	}
 
 	force := r.URL.Query().Get("force") == "1"
@@ -273,15 +252,12 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 		if stat.State == replica.StateDiverged {
 			// Force never overrides divergence: a diverged follower's
 			// graph is not a lagging copy, it is a different history.
-			writeError(w, http.StatusConflict,
-				"refusing to promote a diverged follower: "+stat.LastError, 0)
-			return
+			return nil, NewError(http.StatusConflict, "refusing to promote a diverged follower: "+stat.LastError, 0)
 		}
 		if !stat.CaughtUp && stat.State != replica.StateStaleSource && !force {
-			writeError(w, http.StatusConflict, fmt.Sprintf(
+			return nil, NewError(http.StatusConflict, fmt.Sprintf(
 				"follower is %s (lag %d records, %d bytes); promote with ?force=1 to accept losing the unreplicated tail",
 				stat.State, stat.LagRecords, stat.LagBytes), 0)
-			return
 		}
 	}
 	if stop != nil {
@@ -291,8 +267,7 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 
 	epoch := st.Epoch()
 	if err := st.BumpEpoch(epoch + 1); err != nil {
-		writeError(w, http.StatusServiceUnavailable, "promotion failed to seal the log: "+err.Error(), 0)
-		return
+		return nil, NewError(http.StatusServiceUnavailable, "promotion failed to seal the log: "+err.Error(), 0)
 	}
 	ctx, cleanup := s.requestCtx(r)
 	defer cleanup()
@@ -305,7 +280,5 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	s.replMu.Unlock()
 	s.data.Invalidate(s.cfg.Ingest.Name())
 	s.obs.Counter("server.promotions").Add(1)
-	writeJSON(w, http.StatusOK, PromoteResponse{
-		Status: "promoted", Dataset: s.cfg.Ingest.Name(), Epoch: epoch + 1,
-	})
+	return PromoteResponse{Status: "promoted", Dataset: s.cfg.Ingest.Name(), Epoch: epoch + 1}, nil
 }

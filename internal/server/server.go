@@ -11,6 +11,11 @@
 // truncation contract: every answer is exact, loudly degraded
 // ("degraded": true, engine named), loudly truncated (stop reason
 // named), or a clean 429/503 — never silently wrong.
+//
+// Both mintd modes serve through one Front (front.go), which runs the
+// request ladder and the run lifecycle; they differ only in the Backend
+// behind it — *Server mines locally, the coordinator in package gather
+// fans out over other mintds.
 package server
 
 import (
@@ -18,10 +23,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net/http"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mint"
 	"mint/internal/datasets"
@@ -87,30 +90,13 @@ type Config struct {
 	TraceCapacity int
 }
 
-// Server is the serving core. Create with New, mount Handler, and call
-// Drain exactly once on the way out.
+// Server is the worker: the local mining engines behind a Front. Create
+// with New, mount Handler, and call Drain exactly once on the way out.
 type Server struct {
-	cfg    Config
-	obs    *obs.Registry
-	data   *registry.Registry
-	adm    *Admission
-	brk    *BreakerGroup
-	mux    *http.ServeMux
-	start  time.Time
-	traces *obs.TraceStore
-	alog   *obs.AccessLogger
-
-	// runCtx is canceled when drain runs out of patience; every request
-	// context is tied to it, so cancellation reaches the engines'
-	// cooperative checkpoints.
-	runCtx     context.Context
-	cancelRuns context.CancelFunc
-
-	// stateMu serializes the draining flip against in-flight Add, so
-	// Drain's Wait can never race a late registration.
-	stateMu  sync.RWMutex
-	draining bool
-	inflight sync.WaitGroup
+	*Front
+	cfg  Config
+	data *registry.Registry
+	brk  *BreakerGroup
 
 	reqSeq atomic.Int64 // distinguishes per-request checkpoint files
 
@@ -175,26 +161,27 @@ func New(cfg Config) *Server {
 	if cfg.Scale <= 0 {
 		cfg.Scale = 0.01
 	}
-	if cfg.EnumerateMaxLimit <= 0 {
-		cfg.EnumerateMaxLimit = 1000
-	}
 	loader := cfg.Loader
 	if loader == nil {
 		loader = datasetLoader(cfg.DataDir, cfg.Scale)
 	}
-	if cfg.TraceCapacity <= 0 {
-		cfg.TraceCapacity = 256
-	}
 	s := &Server{
-		cfg:    cfg,
-		obs:    cfg.Obs,
-		start:  time.Now(),
-		adm:    NewAdmission(cfg.Admission, cfg.Obs),
-		brk:    NewBreakerGroup(cfg.Breaker, cfg.Obs),
-		fps:    map[*mint.Graph]string{},
-		traces: obs.NewTraceStore(cfg.TraceCapacity),
-		alog:   obs.NewAccessLogger(cfg.AccessLog),
+		cfg: cfg,
+		brk: NewBreakerGroup(cfg.Breaker, cfg.Obs),
+		fps: map[*mint.Graph]string{},
 	}
+	s.Front = NewFront(s, FrontConfig{
+		Mode:              "serve",
+		Routes:            "http",
+		Drain:             "server",
+		Caps:              cfg.Caps,
+		Admission:         cfg.Admission,
+		EnumerateMaxLimit: cfg.EnumerateMaxLimit,
+		MaxBodyBytes:      cfg.MaxBodyBytes,
+		Obs:               cfg.Obs,
+		AccessLog:         cfg.AccessLog,
+		TraceCapacity:     cfg.TraceCapacity,
+	})
 	if cfg.Ingest.Enabled() {
 		loader = s.liveLoader(loader)
 	}
@@ -204,8 +191,6 @@ func New(cfg Config) *Server {
 		Obs:      cfg.Obs,
 		Validate: s.validateLive,
 	})
-	s.runCtx, s.cancelRuns = context.WithCancel(context.Background())
-	s.mux = http.NewServeMux()
 	s.routes()
 	if cfg.Ingest.Enabled() {
 		s.liveReady = make(chan struct{})
@@ -228,117 +213,32 @@ func datasetLoader(dir string, scale float64) registry.Loader {
 	}
 }
 
-// Handler returns the server's HTTP handler (the API routes plus
-// /healthz, /readyz; mount obs.AttachDebug alongside for /debug/*).
-func (s *Server) Handler() http.Handler { return s.mux }
-
 // Datasets exposes the dataset registry (readiness reporting, tests).
 func (s *Server) Datasets() *registry.Registry { return s.data }
 
-// Draining reports whether drain has begun.
-func (s *Server) Draining() bool {
-	s.stateMu.RLock()
-	defer s.stateMu.RUnlock()
-	return s.draining
-}
-
-// beginRequest registers one in-flight API request; it fails once drain
-// has begun. The returned func must be deferred.
-func (s *Server) beginRequest() (func(), bool) {
-	s.stateMu.RLock()
-	defer s.stateMu.RUnlock()
-	if s.draining {
-		return nil, false
+// Close seals the ingest stream once drain has ended in-flight work.
+// Stop the follower pull loop first — it appends to the same stream
+// Close is about to seal. Closing syncs and releases the WAL so a
+// restart replays a clean tail.
+func (s *Server) Close() {
+	if !s.cfg.Ingest.Enabled() {
+		return
 	}
-	s.inflight.Add(1)
-	return s.inflight.Done, true
-}
-
-// Drain gracefully winds the server down: stop admitting (readyz flips
-// to 503, queued waiters bounce with ErrDraining), let in-flight
-// requests finish until ctx expires, then cancel their run contexts —
-// the engines unwind cooperatively, supervised requests flushing their
-// checkpoints — and wait for the stragglers. Safe to call once; the
-// HTTP listener shutdown and obs flush are the caller's (mintd's) job,
-// in that order after Drain returns.
-func (s *Server) Drain(ctx context.Context) error {
-	s.stateMu.Lock()
-	already := s.draining
-	s.draining = true
-	s.stateMu.Unlock()
-	if already {
-		return errors.New("server: Drain called twice")
-	}
-	s.obs.Counter("server.drain_started").Add(1)
-	s.adm.Stop()
-
-	done := make(chan struct{})
-	go func() {
-		s.inflight.Wait()
-		close(done)
-	}()
-	graceful := true
-	select {
-	case <-done:
-	case <-ctx.Done():
-		// Patience exhausted: cancel the runs. Cooperative cancellation
-		// reaches every engine within one runctl.CheckInterval, so this
-		// second wait is bounded by microseconds of mining plus response
-		// serialization.
-		graceful = false
-		s.obs.Counter("server.drain_forced").Add(1)
-		s.cancelRuns()
-		<-done
-	}
-	if graceful {
-		s.cancelRuns() // release the AfterFunc watchers
-	}
-	// In-flight work is done; seal the ingest stream. Stop the follower
-	// pull loop first — it appends to the same stream Close is about to
-	// seal. Close syncs and releases the WAL so a restart replays a
-	// clean tail.
-	if s.cfg.Ingest.Enabled() {
-		<-s.liveReady
-		s.replMu.Lock()
-		stop, fdone := s.followerStop, s.followerDone
-		s.replMu.Unlock()
-		if stop != nil {
-			stop()
-			<-fdone
-		}
-		s.liveMu.Lock()
-		st := s.live
-		s.live = nil
-		s.liveMu.Unlock()
-		if st != nil {
-			if err := st.Close(); err != nil {
-				s.obs.Counter("server.ingest.close_failed").Add(1)
-			}
-		}
-	}
-	s.obs.Counter("server.drain_done").Add(1)
-	return nil
-}
-
-// BuildReport assembles the end-of-life RunReport mintd flushes on
-// exit: uptime, the full metric state, and the serving identity.
-func (s *Server) BuildReport() *obs.RunReport {
-	rep := obs.NewRunReport("mintd", "serve")
-	rep.StartUnixNano = s.start.UnixNano()
-	rep.WallSeconds = time.Since(s.start).Seconds()
-	rep.CPUSeconds = obs.ProcessCPUSeconds()
-	rep.AttachSnapshot(s.obs.Snapshot())
-	return rep
-}
-
-// requestCtx ties an HTTP request context to the server's run lifetime:
-// cancel fires when either the client goes away or drain forces runs
-// down. The cleanup func must be deferred.
-func (s *Server) requestCtx(r *http.Request) (context.Context, func()) {
-	ctx, cancel := context.WithCancel(r.Context())
-	stop := context.AfterFunc(s.runCtx, cancel)
-	return ctx, func() {
+	<-s.liveReady
+	s.replMu.Lock()
+	stop, fdone := s.followerStop, s.followerDone
+	s.replMu.Unlock()
+	if stop != nil {
 		stop()
-		cancel()
+		<-fdone
+	}
+	s.liveMu.Lock()
+	st := s.live
+	s.live = nil
+	s.liveMu.Unlock()
+	if st != nil {
+		if err := st.Close(); err != nil {
+			s.obs.Counter("server.ingest.close_failed").Add(1)
+		}
 	}
 }

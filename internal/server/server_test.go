@@ -241,45 +241,6 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-func TestHealthzReadyzAndDrainFlip(t *testing.T) {
-	s, ts, _ := newTestServer(t, nil)
-
-	get := func(path string) int {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-	if got := get("/healthz"); got != http.StatusOK {
-		t.Fatalf("/healthz = %d, want 200", got)
-	}
-	if got := get("/readyz"); got != http.StatusOK {
-		t.Fatalf("/readyz = %d, want 200", got)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := s.Drain(ctx); err != nil {
-		t.Fatalf("Drain: %v", err)
-	}
-	if got := get("/readyz"); got != http.StatusServiceUnavailable {
-		t.Fatalf("draining /readyz = %d, want 503", got)
-	}
-	if got := get("/healthz"); got != http.StatusOK {
-		t.Fatalf("draining /healthz = %d, want 200 (process is still alive)", got)
-	}
-	status, _ := postJSON(t, ts.URL+"/v1/count",
-		CountRequest{Dataset: "g1", Motif: "M1"}, nil)
-	if status != http.StatusServiceUnavailable {
-		t.Fatalf("draining /v1/count = %d, want 503", status)
-	}
-	if err := s.Drain(ctx); err == nil {
-		t.Fatal("second Drain succeeded; want an error")
-	}
-}
-
 func TestChaosTripsBreakerAndNeverLies(t *testing.T) {
 	// Every exact attempt hits an injected fault, so responses must come
 	// back degraded (estimator salvage) and after Threshold failures the

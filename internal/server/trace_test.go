@@ -2,13 +2,11 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"net/http"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"mint/internal/obs"
 )
@@ -49,62 +47,6 @@ func TestCountExplainTree(t *testing.T) {
 	}
 	if out.Explain.Attrs["engine"] == "" {
 		t.Fatalf("root span should carry the engine decision, got %v", out.Explain.Attrs)
-	}
-}
-
-// TestRequestIDHonored: an X-Request-ID shapes the trace id and is
-// echoed on success, shed, and draining responses alike.
-func TestRequestIDHonored(t *testing.T) {
-	s, ts, _ := newTestServer(t, nil)
-
-	post := func(reqID string) (*http.Response, CountResponse) {
-		t.Helper()
-		body, _ := json.Marshal(CountRequest{Dataset: "g1", Motif: "M1", DeltaSeconds: testDelta})
-		req, _ := http.NewRequest("POST", ts.URL+"/v1/count", bytes.NewReader(body))
-		if reqID != "" {
-			req.Header.Set("X-Request-ID", reqID)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var out CountResponse
-		json.NewDecoder(resp.Body).Decode(&out) //nolint:errcheck // error bodies differ
-		return resp, out
-	}
-
-	hexID := strings.Repeat("ab", 16)
-	resp, out := post(hexID)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if got := resp.Header.Get("X-Trace-Id"); got != hexID {
-		t.Fatalf("32-hex request id not used directly: got %q", got)
-	}
-	if out.TraceID != hexID {
-		t.Fatalf("body trace id %q", out.TraceID)
-	}
-
-	// Arbitrary ids hash deterministically.
-	r1, _ := post("my-request-7")
-	r2, _ := post("my-request-7")
-	if r1.Header.Get("X-Trace-Id") != r2.Header.Get("X-Trace-Id") {
-		t.Fatal("same X-Request-ID produced different trace ids")
-	}
-
-	// Draining 503s still echo the id.
-	dctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := s.Drain(dctx); err != nil {
-		t.Fatal(err)
-	}
-	resp, _ = post(hexID)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("draining status %d", resp.StatusCode)
-	}
-	if got := resp.Header.Get("X-Trace-Id"); got != hexID {
-		t.Fatalf("draining 503 lost the trace id: %q", got)
 	}
 }
 

@@ -423,7 +423,10 @@ func RunQueueCtlObs(g *temporal.Graph, m *temporal.Motif, workers, contexts int,
 
 	// Seed the initial wave of contexts from the pool; steady-state sweeps
 	// re-arm recycled contexts instead of allocating a fresh wave per run.
-	seeded := 0
+	// The seeder holds one in-flight token across the whole loop: a
+	// claimed root is not yet counted, so without the token a worker
+	// retiring the last live context could close the queue mid-seed.
+	inflight.Add(1)
 	var poolReuse int64
 	for i := 0; i < contexts; i++ {
 		ctx, reused := GetContext()
@@ -434,14 +437,13 @@ func RunQueueCtlObs(g *temporal.Graph, m *temporal.Motif, workers, contexts int,
 		if reused {
 			poolReuse++
 		}
-		seeded++
 		inflight.Add(1)
 		queue <- queueTask{ctx: ctx}
 	}
 	if reg != nil && poolReuse > 0 {
 		reg.Counter("pool.reuse").Add(poolReuse)
 	}
-	if seeded == 0 {
+	if inflight.Add(-1) == 0 {
 		close(queue)
 	}
 	wg.Wait()

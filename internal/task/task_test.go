@@ -221,3 +221,30 @@ func TestRunQueueProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRunQueueSeedingNeverRacesRetirement: every tree here retires on
+// its first search (edges sit far further apart than δ), so workers
+// recycle contexts onto fresh roots as fast as the seeder hands them
+// out. The queue must not close while the seeder still holds a claimed
+// root: a worker that retires the last live context mid-seed would
+// otherwise close it under the seeder's pending send.
+func TestRunQueueSeedingNeverRacesRetirement(t *testing.T) {
+	edges := make([]temporal.Edge, 48)
+	for i := range edges {
+		edges[i] = temporal.Edge{Src: temporal.NodeID(i % 7), Dst: temporal.NodeID(i%7 + 1), Time: temporal.Timestamp(i * 1000)}
+	}
+	g := temporal.MustNewGraph(edges)
+	m := cycle3(10)
+	for run := 0; run < 2000; run++ {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("run %d: RunQueue panicked: %v", run, r)
+				}
+			}()
+			if got := RunQueue(g, m, 4, 64); got != 0 {
+				t.Fatalf("run %d: got %d matches, want 0", run, got)
+			}
+		}()
+	}
+}
