@@ -218,18 +218,43 @@ func (w *Writer) flushLocked() error {
 // fingerprints (letting a scatter-gather coordinator refuse to merge
 // counts from shards that are not serving the same data).
 func Fingerprint(domain string, ints []int64) string {
-	return fmt.Sprintf("%s/%016x", domain, HashInts(ints))
+	return FormatFingerprint(domain, HashInts(ints))
 }
+
+// FormatFingerprint renders a digest as "<domain>/<16 hex digits>", the
+// form Fingerprint returns.
+func FormatFingerprint(domain string, digest uint64) string {
+	return fmt.Sprintf("%s/%016x", domain, digest)
+}
+
+// Hasher is a streaming FNV-1a accumulator over int64s, each folded as
+// its eight little-endian bytes. Feeding it xs one at a time gives
+// HashInts(xs), so large inputs (whole edge lists) hash in place
+// without first being flattened into a slice.
+type Hasher uint64
+
+// NewHasher returns an accumulator at the FNV-1a offset basis.
+func NewHasher() Hasher { return 14695981039346656037 }
+
+// Add folds x into the digest.
+func (h *Hasher) Add(x int64) {
+	v := uint64(*h)
+	for s := 0; s < 64; s += 8 {
+		v ^= uint64(byte(x >> s))
+		v *= 1099511628211
+	}
+	*h = Hasher(v)
+}
+
+// Sum64 returns the digest of everything added so far.
+func (h Hasher) Sum64() uint64 { return uint64(h) }
 
 // HashInts folds a slice of ints into a stable 64-bit FNV-1a digest;
 // used to bind chunk boundaries into run fingerprints.
 func HashInts(xs []int64) uint64 {
-	h := uint64(14695981039346656037)
+	h := NewHasher()
 	for _, x := range xs {
-		for s := 0; s < 64; s += 8 {
-			h ^= uint64(byte(x >> s))
-			h *= 1099511628211
-		}
+		h.Add(x)
 	}
-	return h
+	return h.Sum64()
 }

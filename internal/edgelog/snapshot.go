@@ -70,12 +70,14 @@ type StandingSpec struct {
 // registry uses the same value to detect that a live dataset moved under
 // a cached entry.
 func EdgesFingerprint(edges []temporal.Edge) string {
-	ints := make([]int64, 0, 3*len(edges)+1)
-	ints = append(ints, int64(len(edges)))
+	h := checkpoint.NewHasher()
+	h.Add(int64(len(edges)))
 	for _, e := range edges {
-		ints = append(ints, int64(e.Src), int64(e.Dst), int64(e.Time))
+		h.Add(int64(e.Src))
+		h.Add(int64(e.Dst))
+		h.Add(int64(e.Time))
 	}
-	return checkpoint.Fingerprint("edgelog", ints)
+	return checkpoint.FormatFingerprint("edgelog", h.Sum64())
 }
 
 // WriteSnapshot atomically persists snap and compacts the log: the active

@@ -186,12 +186,13 @@ func Slice(g *temporal.Graph, r Range) (*temporal.Graph, temporal.EdgeID, error)
 // data held); sliced deployments verify against the slicer's manifest
 // instead.
 func Fingerprint(g *temporal.Graph) string {
-	n := g.NumEdges()
-	ints := make([]int64, 0, 2+3*n)
-	ints = append(ints, int64(g.NumNodes()), int64(n))
-	for i := 0; i < n; i++ {
-		e := g.Edges[i]
-		ints = append(ints, int64(e.Src), int64(e.Dst), int64(e.Time))
+	h := checkpoint.NewHasher()
+	h.Add(int64(g.NumNodes()))
+	h.Add(int64(g.NumEdges()))
+	for _, e := range g.Edges {
+		h.Add(int64(e.Src))
+		h.Add(int64(e.Dst))
+		h.Add(int64(e.Time))
 	}
-	return checkpoint.Fingerprint("graph", ints)
+	return checkpoint.FormatFingerprint("graph", h.Sum64())
 }

@@ -12,8 +12,9 @@
 package temporal
 
 import (
-	"errors"
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -44,61 +45,81 @@ type Edge struct {
 
 // Graph is an immutable temporal graph.
 //
-// Edges is sorted by (Time, original order). Out[u] lists the indices of
-// edges with Src == u, ascending; In[v] lists the indices of edges with
-// Dst == v, ascending. Construct with NewGraph.
+// Edges is sorted by (Time, original order). The per-node index lists
+// are held in compressed sparse row (CSR) form, the paper's compressed
+// per-node structure (§II-D) and the layout internal/memlayout models in
+// DRAM: the edges leaving u are outIdx[outOff[u]:outOff[u+1]], ascending,
+// and the edges entering v are inIdx[inOff[v]:inOff[v+1]], ascending.
+// The four arrays hold no pointers, so a graph costs the collector
+// nothing to scan however many nodes it has. Construct with NewGraph;
+// read the lists through OutEdges and InEdges.
 type Graph struct {
 	Edges []Edge
-	Out   [][]EdgeID
-	In    [][]EdgeID
+
+	outOff, inOff []int32  // len n+1; outOff[0] = 0, outOff[n] = |E|
+	outIdx, inIdx []EdgeID // len |E|
 
 	numNodes int
 }
 
 // NewGraph builds a Graph from an arbitrary edge multiset. The input slice
-// is not retained; edges are copied and stably sorted by timestamp. Node
-// IDs must be non-negative; the node count is 1 + the maximum node ID seen
-// (isolated smaller IDs simply have empty adjacency).
+// is not retained; edges are copied and stably sorted by timestamp (input
+// that is already time-ordered, as a stream, a WAL replay or a shard
+// slice is, is detected in one pass and not sorted). Node IDs must be
+// non-negative; the node count is 1 + the maximum node ID seen (isolated
+// smaller IDs simply have empty adjacency).
 func NewGraph(edges []Edge) (*Graph, error) {
 	maxNode := NodeID(-1)
+	ordered := true
 	for i, e := range edges {
 		if e.Src < 0 || e.Dst < 0 {
 			return nil, fmt.Errorf("temporal: edge %d has negative node id (%d->%d)", i, e.Src, e.Dst)
 		}
-		if e.Src > maxNode {
-			maxNode = e.Src
-		}
-		if e.Dst > maxNode {
-			maxNode = e.Dst
+		maxNode = max(maxNode, e.Src, e.Dst)
+		if i > 0 && e.Time < edges[i-1].Time {
+			ordered = false
 		}
 	}
-	sorted := make([]Edge, len(edges))
-	copy(sorted, edges)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Time < sorted[j].Time })
+	sorted := slices.Clone(edges)
+	if !ordered {
+		slices.SortStableFunc(sorted, func(a, b Edge) int { return cmp.Compare(a.Time, b.Time) })
+	}
 
-	n := int(maxNode) + 1
-	g := &Graph{Edges: sorted, numNodes: n}
-	outDeg := make([]int32, n)
-	inDeg := make([]int32, n)
-	for _, e := range sorted {
-		outDeg[e.Src]++
-		inDeg[e.Dst]++
+	n, m := int(maxNode)+1, len(sorted)
+	// One slab for both offset tables and one for both index arrays.
+	off := make([]int32, 2*(n+1))
+	idx := make([]EdgeID, 2*m)
+	outOff, inOff := off[:n+1:n+1], off[n+1:]
+	outIdx, inIdx := idx[:m:m], idx[m:]
+	// Count degrees into off[u+1], prefix-sum so off[u] is u's start,
+	// scatter edge indices in ascending order while advancing off[u] to
+	// u's end, then shift each table back by one slot. No scratch memory.
+	for i := range sorted {
+		outOff[sorted[i].Src+1]++
+		inOff[sorted[i].Dst+1]++
 	}
-	g.Out = make([][]EdgeID, n)
-	g.In = make([][]EdgeID, n)
-	for u := 0; u < n; u++ {
-		if outDeg[u] > 0 {
-			g.Out[u] = make([]EdgeID, 0, outDeg[u])
-		}
-		if inDeg[u] > 0 {
-			g.In[u] = make([]EdgeID, 0, inDeg[u])
-		}
+	for u := 1; u <= n; u++ {
+		outOff[u] += outOff[u-1]
+		inOff[u] += inOff[u-1]
 	}
-	for i, e := range sorted {
-		g.Out[e.Src] = append(g.Out[e.Src], EdgeID(i))
-		g.In[e.Dst] = append(g.In[e.Dst], EdgeID(i))
+	for i := range sorted {
+		e := &sorted[i]
+		outIdx[outOff[e.Src]] = EdgeID(i)
+		outOff[e.Src]++
+		inIdx[inOff[e.Dst]] = EdgeID(i)
+		inOff[e.Dst]++
 	}
-	return g, nil
+	copy(outOff[1:], outOff[:n])
+	copy(inOff[1:], inOff[:n])
+	outOff[0], inOff[0] = 0, 0
+	return &Graph{
+		Edges:    sorted,
+		outOff:   outOff,
+		inOff:    inOff,
+		outIdx:   outIdx,
+		inIdx:    inIdx,
+		numNodes: n,
+	}, nil
 }
 
 // MustNewGraph is NewGraph but panics on error; for tests and examples
@@ -124,12 +145,20 @@ func (g *Graph) Edge(id EdgeID) Edge { return g.Edges[id] }
 func (g *Graph) Time(id EdgeID) Timestamp { return g.Edges[id].Time }
 
 // OutEdges returns the (time-ordered) indices of edges leaving u.
-// The returned slice is owned by the graph and must not be modified.
-func (g *Graph) OutEdges(u NodeID) []EdgeID { return g.Out[u] }
+// The returned slice is owned by the graph and must not be modified;
+// its capacity ends with the list, so an append copies rather than
+// writing into the next node's list.
+func (g *Graph) OutEdges(u NodeID) []EdgeID {
+	lo, hi := g.outOff[u], g.outOff[u+1]
+	return g.outIdx[lo:hi:hi]
+}
 
-// InEdges returns the (time-ordered) indices of edges entering v.
-// The returned slice is owned by the graph and must not be modified.
-func (g *Graph) InEdges(v NodeID) []EdgeID { return g.In[v] }
+// InEdges returns the (time-ordered) indices of edges entering v, with
+// the same ownership and capacity as OutEdges.
+func (g *Graph) InEdges(v NodeID) []EdgeID {
+	lo, hi := g.inOff[v], g.inOff[v+1]
+	return g.inIdx[lo:hi:hi]
+}
 
 // TimeSpan returns the difference between the last and first timestamps,
 // or zero for graphs with fewer than two edges.
@@ -197,18 +226,20 @@ type DegreeStats struct {
 }
 
 // OutDegreeStats computes DegreeStats over per-node out-neighborhood sizes.
-func (g *Graph) OutDegreeStats() DegreeStats { return degreeStats(g.Out) }
+func (g *Graph) OutDegreeStats() DegreeStats { return degreeStats(g.outOff) }
 
 // InDegreeStats computes DegreeStats over per-node in-neighborhood sizes.
-func (g *Graph) InDegreeStats() DegreeStats { return degreeStats(g.In) }
+func (g *Graph) InDegreeStats() DegreeStats { return degreeStats(g.inOff) }
 
-func degreeStats(adj [][]EdgeID) DegreeStats {
-	degs := make([]int, 0, len(adj))
+// degreeStats reads each node's degree off a CSR offset table as
+// off[u+1]-off[u].
+func degreeStats(off []int32) DegreeStats {
+	degs := make([]int, 0, max(len(off)-1, 0))
 	total := 0
-	for _, l := range adj {
-		if len(l) > 0 {
-			degs = append(degs, len(l))
-			total += len(l)
+	for u := 1; u < len(off); u++ {
+		if d := int(off[u] - off[u-1]); d > 0 {
+			degs = append(degs, d)
+			total += d
 		}
 	}
 	if len(degs) == 0 {
@@ -243,7 +274,8 @@ func (g *Graph) EdgesPerDelta(delta Timestamp) float64 {
 }
 
 // Validate checks internal invariants: endpoint IDs within the node
-// range, adjacency tables sized to the node count, edges sorted by time,
+// range, edges sorted by time, CSR offset tables of length n+1 that
+// start at 0, never decrease and end at |E|, index arrays of length |E|,
 // and adjacency lists in-range, consistent, and index-sorted. It is used
 // by property tests and runs after every loader (ReadSNAP), so a
 // corrupted or hand-built graph fails loudly here instead of as an
@@ -252,10 +284,6 @@ func (g *Graph) Validate() error {
 	n := g.numNodes
 	if n < 0 {
 		return fmt.Errorf("temporal: negative node count %d", n)
-	}
-	if len(g.Out) != n || len(g.In) != n {
-		return fmt.Errorf("temporal: adjacency tables sized %d/%d for %d nodes",
-			len(g.Out), len(g.In), n)
 	}
 	for i := range g.Edges {
 		e := &g.Edges[i]
@@ -267,41 +295,47 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("temporal: edges out of time order at %d", i)
 		}
 	}
-	seenOut := 0
-	for u, l := range g.Out {
-		for i, id := range l {
-			if id < 0 || int(id) >= len(g.Edges) {
-				return fmt.Errorf("temporal: out list of node %d has edge id %d outside [0,%d)", u, id, len(g.Edges))
-			}
-			if i > 0 && l[i-1] >= id {
-				return fmt.Errorf("temporal: out list of node %d not strictly increasing", u)
-			}
-			if g.Edges[id].Src != NodeID(u) {
-				return fmt.Errorf("temporal: out list of node %d contains foreign edge %d", u, id)
-			}
-			seenOut++
+	if err := g.validateCSR("out", g.outOff, g.outIdx, func(e *Edge) NodeID { return e.Src }); err != nil {
+		return err
+	}
+	return g.validateCSR("in", g.inOff, g.inIdx, func(e *Edge) NodeID { return e.Dst })
+}
+
+// validateCSR checks one direction's offset table and index array. With
+// the offsets checked first, every list lies inside idx and the lists
+// together cover exactly |E| entries; each entry must then be an
+// in-range edge of its own node, strictly after the previous one, and
+// so every edge is listed exactly once.
+func (g *Graph) validateCSR(dir string, off []int32, idx []EdgeID, node func(*Edge) NodeID) error {
+	n, m := g.numNodes, len(g.Edges)
+	if len(off) != n+1 {
+		return fmt.Errorf("temporal: %s offset table has %d entries for %d nodes, want %d", dir, len(off), n, n+1)
+	}
+	if off[0] != 0 {
+		return fmt.Errorf("temporal: %s offset table starts at %d, want 0", dir, off[0])
+	}
+	for u := 0; u < n; u++ {
+		if off[u+1] < off[u] {
+			return fmt.Errorf("temporal: %s offset table decreases at node %d (%d -> %d)", dir, u, off[u], off[u+1])
 		}
 	}
-	if seenOut != len(g.Edges) {
-		return errors.New("temporal: out lists do not cover edge list")
+	if int(off[n]) != m || len(idx) != m {
+		return fmt.Errorf("temporal: %s lists cover %d entries in an index array of %d, want %d (the edge list)",
+			dir, off[n], len(idx), m)
 	}
-	seenIn := 0
-	for v, l := range g.In {
+	for u := 0; u < n; u++ {
+		l := idx[off[u]:off[u+1]]
 		for i, id := range l {
-			if id < 0 || int(id) >= len(g.Edges) {
-				return fmt.Errorf("temporal: in list of node %d has edge id %d outside [0,%d)", v, id, len(g.Edges))
+			if id < 0 || int(id) >= m {
+				return fmt.Errorf("temporal: %s list of node %d has edge id %d outside [0,%d)", dir, u, id, m)
 			}
 			if i > 0 && l[i-1] >= id {
-				return fmt.Errorf("temporal: in list of node %d not strictly increasing", v)
+				return fmt.Errorf("temporal: %s list of node %d not strictly increasing", dir, u)
 			}
-			if g.Edges[id].Dst != NodeID(v) {
-				return fmt.Errorf("temporal: in list of node %d contains foreign edge %d", v, id)
+			if node(&g.Edges[id]) != NodeID(u) {
+				return fmt.Errorf("temporal: %s list of node %d contains foreign edge %d", dir, u, id)
 			}
-			seenIn++
 		}
-	}
-	if seenIn != len(g.Edges) {
-		return errors.New("temporal: in lists do not cover edge list")
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package temporal
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -35,6 +36,81 @@ func TestNewGraphSortsByTime(t *testing.T) {
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
+	}
+
+	// Equal timestamps keep their input order, on the already-ordered
+	// path (no sort) and on the sorting path alike; the stream's
+	// tie-break for same-second edges depends on it.
+	ties := []struct {
+		name    string
+		in, out []Edge
+	}{
+		{"ordered",
+			[]Edge{{0, 1, 5}, {1, 2, 5}, {2, 0, 5}, {0, 2, 7}, {2, 1, 7}},
+			[]Edge{{0, 1, 5}, {1, 2, 5}, {2, 0, 5}, {0, 2, 7}, {2, 1, 7}}},
+		{"unordered",
+			[]Edge{{0, 1, 9}, {1, 2, 5}, {2, 0, 5}, {0, 2, 5}, {2, 1, 1}, {1, 0, 9}},
+			[]Edge{{2, 1, 1}, {1, 2, 5}, {2, 0, 5}, {0, 2, 5}, {0, 1, 9}, {1, 0, 9}}},
+	}
+	for _, tc := range ties {
+		in := slices.Clone(tc.in)
+		g := MustNewGraph(in)
+		if !slices.Equal(g.Edges, tc.out) {
+			t.Errorf("%s ties: edges = %v, want %v", tc.name, g.Edges, tc.out)
+		}
+		if !slices.Equal(in, tc.in) {
+			t.Errorf("%s ties: NewGraph modified its input", tc.name)
+		}
+		if err := g.Validate(); err != nil {
+			t.Errorf("%s ties: %v", tc.name, err)
+		}
+	}
+}
+
+// TestNewGraphAllocsIndependentOfNodes pins the CSR layout's allocation
+// profile: building a graph costs a fixed handful of allocations (the
+// graph, its edge copy, one offset slab, one index slab) whatever the
+// node count, where per-node slices would cost two per non-empty node.
+func TestNewGraphAllocsIndependentOfNodes(t *testing.T) {
+	const maxAllocs = 6
+	rng := rand.New(rand.NewSource(11))
+	for _, nodes := range []int{10_000, 20_000} {
+		ordered := make([]Edge, 2*nodes)
+		for i := range ordered {
+			// Every node is a source and a destination at least once.
+			ordered[i] = Edge{NodeID(i % nodes), NodeID((i*7 + 1) % nodes), Timestamp(i / 3)}
+		}
+		shuffled := slices.Clone(ordered)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		for name, edges := range map[string][]Edge{"ordered": ordered, "shuffled": shuffled} {
+			g := MustNewGraph(edges)
+			if s := g.OutDegreeStats(); s.NumNonZero != nodes {
+				t.Fatalf("%s/%d: %d nodes with out edges, want %d", name, nodes, s.NumNonZero, nodes)
+			}
+			allocs := testing.AllocsPerRun(5, func() { MustNewGraph(edges) })
+			if allocs > maxAllocs {
+				t.Errorf("%s/%d nodes: NewGraph made %.0f allocations, want <= %d", name, nodes, allocs, maxAllocs)
+			}
+		}
+	}
+}
+
+// TestEdgeListsAreCapped checks that OutEdges/InEdges hand out lists
+// whose capacity ends with the list: appending to one node's list must
+// copy, never overwrite the neighbouring node's entries in the shared
+// CSR array.
+func TestEdgeListsAreCapped(t *testing.T) {
+	g := fig1Graph()
+	for u := NodeID(0); int(u) < g.NumNodes(); u++ {
+		for _, list := range [][]EdgeID{g.OutEdges(u), g.InEdges(u)} {
+			if cap(list) != len(list) {
+				t.Fatalf("node %d: list %v has cap %d, want %d", u, list, cap(list), len(list))
+			}
+			_ = append(list, 99)
+		}
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatalf("appending to a returned list corrupted the graph: %v", err)
 	}
 }
 
@@ -167,5 +243,22 @@ func TestGraphInvariantsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+var benchGraph *Graph
+
+// BenchmarkNewGraph builds a graph shaped like a live 30-day wiki-talk
+// window: 100k time-ordered edges over a 110k-node id space.
+func BenchmarkNewGraph(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	edges := make([]Edge, 100_000)
+	for i := range edges {
+		edges[i] = Edge{NodeID(rng.Intn(110_000)), NodeID(rng.Intn(110_000)), Timestamp(i * 3)}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchGraph = MustNewGraph(edges)
 	}
 }

@@ -2,23 +2,21 @@ package temporal
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
 
 // cloneGraph deep-copies g so a corruption never leaks between subtests.
 func cloneGraph(g *Graph) *Graph {
-	c := &Graph{numNodes: g.numNodes}
-	c.Edges = append([]Edge(nil), g.Edges...)
-	c.Out = make([][]EdgeID, len(g.Out))
-	for i, l := range g.Out {
-		c.Out[i] = append([]EdgeID(nil), l...)
+	return &Graph{
+		Edges:    slices.Clone(g.Edges),
+		outOff:   slices.Clone(g.outOff),
+		inOff:    slices.Clone(g.inOff),
+		outIdx:   slices.Clone(g.outIdx),
+		inIdx:    slices.Clone(g.inIdx),
+		numNodes: g.numNodes,
 	}
-	c.In = make([][]EdgeID, len(g.In))
-	for i, l := range g.In {
-		c.In[i] = append([]EdgeID(nil), l...)
-	}
-	return c
 }
 
 // validateCorruptions is the invariant-by-invariant corruption table:
@@ -33,66 +31,49 @@ var validateCorruptions = []struct {
 	}},
 	{"src out of range", func(g *Graph) { g.Edges[1].Src = NodeID(g.numNodes) }},
 	{"dst negative", func(g *Graph) { g.Edges[1].Dst = -1 }},
-	{"out table truncated", func(g *Graph) { g.Out = g.Out[:len(g.Out)-1] }},
-	{"in table oversized", func(g *Graph) { g.In = append(g.In, nil) }},
-	{"out id out of range", func(g *Graph) {
-		l := firstNonEmpty(g.Out)
-		l[0] = EdgeID(len(g.Edges))
-	}},
-	{"out id negative", func(g *Graph) {
-		l := firstNonEmpty(g.Out)
-		l[0] = -1
-	}},
-	{"in id out of range", func(g *Graph) {
-		l := firstNonEmpty(g.In)
-		l[len(l)-1] = EdgeID(len(g.Edges) + 3)
-	}},
+	{"out table truncated", func(g *Graph) { g.outOff = g.outOff[:len(g.outOff)-1] }},
+	{"in table oversized", func(g *Graph) { g.inOff = append(g.inOff, g.inOff[len(g.inOff)-1]) }},
+	{"out id out of range", func(g *Graph) { g.outIdx[0] = EdgeID(len(g.Edges)) }},
+	{"out id negative", func(g *Graph) { g.outIdx[0] = -1 }},
+	{"in id out of range", func(g *Graph) { g.inIdx[len(g.inIdx)-1] = EdgeID(len(g.Edges) + 3) }},
 	{"out list not increasing", func(g *Graph) {
-		for _, l := range g.Out {
-			if len(l) >= 2 {
-				l[1] = l[0]
+		for u := 0; u < g.numNodes; u++ {
+			if lo := g.outOff[u]; g.outOff[u+1]-lo >= 2 {
+				g.outIdx[lo+1] = g.outIdx[lo]
 				return
 			}
 		}
 		panic("test graph has no out list with 2 entries")
 	}},
 	{"out list foreign edge", func(g *Graph) {
-		// Move one edge id to a node that is not its source.
-		for u, l := range g.Out {
-			if len(l) == 0 {
-				continue
+		// Move the boundary between nodes u and u+1 down by one, so the
+		// last edge id of u's list lands at the front of u+1's.
+		for u := 0; u+1 < g.numNodes; u++ {
+			if g.outOff[u+1] > g.outOff[u] {
+				g.outOff[u+1]--
+				return
 			}
-			id := l[0]
-			v := (u + 1) % len(g.Out)
-			if g.Edges[id].Src == NodeID(v) {
-				continue
-			}
-			g.Out[u] = l[1:]
-			g.Out[v] = append([]EdgeID{id}, g.Out[v]...)
-			return
 		}
 		panic("test graph has no movable out edge")
 	}},
 	{"in list dropped entry", func(g *Graph) {
-		l := firstNonEmpty(g.In)
-		copy(l, l[1:])
-		for i := range g.In {
-			if len(g.In[i]) > 0 && &g.In[i][0] == &l[0] {
-				g.In[i] = g.In[i][:len(g.In[i])-1]
+		// Delete the first entry of the first non-empty in list and
+		// close the gap, as a list that lost an edge would look.
+		for v := 0; v < g.numNodes; v++ {
+			if lo := g.inOff[v]; g.inOff[v+1] > lo {
+				g.inIdx = slices.Delete(g.inIdx, int(lo), int(lo)+1)
+				for w := v + 1; w < len(g.inOff); w++ {
+					g.inOff[w]--
+				}
 				return
 			}
 		}
-		panic("in list not found")
+		panic("test graph has no non-empty in list")
 	}},
-}
-
-func firstNonEmpty(lists [][]EdgeID) []EdgeID {
-	for _, l := range lists {
-		if len(l) > 0 {
-			return l
-		}
-	}
-	panic("test graph has no non-empty list")
+	{"out offsets start nonzero", func(g *Graph) { g.outOff[0] = 1 }},
+	{"in offsets decrease", func(g *Graph) { g.inOff[1] = g.inOff[2] + 1 }},
+	{"out offsets end short", func(g *Graph) { g.outOff[len(g.outOff)-1]-- }},
+	{"in index array oversized", func(g *Graph) { g.inIdx = append(g.inIdx, 0) }},
 }
 
 // TestValidateDetectsCorruption corrupts each invariant in turn and

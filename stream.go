@@ -39,6 +39,7 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"time"
 
 	"mint/internal/edgelog"
 	"mint/internal/temporal"
@@ -351,12 +352,17 @@ func (s *Stream) applyLocked(seq uint64, edges []Edge) (accepted, evicted int) {
 	return accepted, evicted
 }
 
+// graphLocked returns the graph of the live edge set, building it (and
+// observing the build in stream.graph_build_ns) when an apply dropped
+// the cached one.
 func (s *Stream) graphLocked() (*Graph, error) {
 	if s.graph == nil {
+		start := time.Now()
 		g, err := temporal.NewGraph(s.edges)
 		if err != nil {
 			return nil, err
 		}
+		s.opts.Obs.Histogram("stream.graph_build_ns").Observe(int64(time.Since(start)))
 		s.graph = g
 	}
 	return s.graph, nil
@@ -402,9 +408,15 @@ func (s *Stream) Append(ctx context.Context, clientID string, clientSeq uint64, 
 	res.Accepted, res.Evicted = s.applyLocked(rec.Seq, rec.Edges)
 	s.opts.Obs.Counter("stream.appends").Add(1)
 
+	// Build the graph before the fold's clock starts, so an ack's time
+	// splits into stream.graph_build_ns and stream.fold_ns. A failed
+	// build is left for integrateLocked to meet and report.
+	_, _ = s.graphLocked()
+	foldStart := time.Now()
 	if err := s.integrateLocked(ctx); err != nil {
 		res.Stale = true
 	}
+	s.opts.Obs.Histogram("stream.fold_ns").Observe(int64(time.Since(foldStart)))
 
 	s.appendsSinceSnap++
 	if s.opts.SnapshotEvery > 0 && s.appendsSinceSnap >= s.opts.SnapshotEvery {

@@ -282,6 +282,46 @@ func TestStreamInfoFingerprintCached(t *testing.T) {
 	}
 }
 
+// TestStreamStageHistograms pins the ack-path stage histograms: with
+// standing queries registered, every accepted append observes one graph
+// build (stream.graph_build_ns) and one fold (stream.fold_ns); an
+// idempotent retry and a read of the cached graph observe neither.
+func TestStreamStageHistograms(t *testing.T) {
+	reg := NewObsRegistry("stream")
+	s, _, err := OpenStream(t.TempDir(), StreamOptions{Workers: 1, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, m := range []*Motif{M1(200), M2(350)} {
+		if _, err := s.Register(context.Background(), m.Name, m); err != nil {
+			t.Fatalf("Register: %v", err)
+		}
+	}
+	build, fold := reg.Histogram("stream.graph_build_ns"), reg.Histogram("stream.fold_ns")
+	g := testutil.RandomGraph(rand.New(rand.NewSource(5)), 8, 60, 500)
+	for i := 0; i < 6; i++ {
+		b0, f0 := build.Count(), fold.Count()
+		streamAppend(t, s, uint64(i+1), g.Edges[10*i:10*i+10])
+		if _, err := s.Graph(); err != nil {
+			t.Fatal(err)
+		}
+		if db, df := build.Count()-b0, fold.Count()-f0; db != 1 || df != 1 {
+			t.Fatalf("append %d observed %d graph builds and %d folds, want 1 and 1", i+1, db, df)
+		}
+	}
+	b0, f0 := build.Count(), fold.Count()
+	if res := streamAppend(t, s, 6, g.Edges[50:60]); !res.Dup {
+		t.Fatalf("retry of seq 6 not a duplicate: %+v", res)
+	}
+	if build.Count() != b0 || fold.Count() != f0 {
+		t.Fatalf("duplicate append observed a stage")
+	}
+	if build.Sum() <= 0 || fold.Sum() <= 0 {
+		t.Fatalf("stage histograms hold no time: build %d ns, fold %d ns", build.Sum(), fold.Sum())
+	}
+}
+
 func TestStreamStaleOnTruncatedIntegration(t *testing.T) {
 	dir := t.TempDir()
 	// A 1-node budget: the register-time mine on the empty graph passes
