@@ -27,9 +27,12 @@ race:
 # covered by the ... wildcard), shard planning, the streaming-ingest WAL
 # (torn-tail repair, corrupt-log property tests, chaos), and the
 # binary-level drain, coordinator, and SIGKILL-ingest-recovery
-# end-to-end tests.
+# end-to-end tests; then the enumerate seek suite (deep pages through
+# the chunk index against the oracle, cut-short builds, concurrent
+# seeks) five times over.
 serve-check:
 	$(GO) test -race -count=1 ./internal/server/... ./internal/shard/ ./internal/edgelog/ ./internal/replica/ ./cmd/mintd/
+	$(GO) test -race -count=5 -run 'TestChunkIndex|TestEnumerateSeek' ./internal/mackey/ ./internal/server/
 
 # Short fuzz passes (native Go fuzzing): the SNAP loader, the motif
 # parser round trip, the co-mining planner (arbitrary motif lists

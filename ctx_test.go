@@ -297,3 +297,26 @@ func TestCountSupervisedAndResumeCtx(t *testing.T) {
 			chaotic.Matches, chaotic.Truncated, len(chaotic.Poisoned), want)
 	}
 }
+
+// TestEnumerateCtxAllocsIndependentOfMatches: the visit slice is reused
+// ("copy to retain"), so streaming a hundred times more matches costs no
+// more allocations than streaming a few.
+func TestEnumerateCtxAllocsIndependentOfMatches(t *testing.T) {
+	g, m := denseTestGraph()
+	seen := 0
+	visit := func([]int32) { seen++ }
+	run := func(n int64) float64 {
+		return testing.AllocsPerRun(20, func() {
+			EnumerateCtx(context.Background(), g, m, Budget{MaxMatches: n}, visit)
+		})
+	}
+	few, many := run(10), run(1000)
+	if seen < 20*1000 {
+		t.Fatalf("fixture too sparse: %d matches streamed", seen)
+	}
+	// A little slack: under -race, sync.Pool drops pooled miner state at
+	// random, so a run's fixed allocations vary.
+	if many > few+8 {
+		t.Fatalf("EnumerateCtx allocs: %.1f for 10 matches, %.1f for 1000", few, many)
+	}
+}

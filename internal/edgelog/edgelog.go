@@ -25,6 +25,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"mint/internal/atomicio"
 	"mint/internal/faultinject"
@@ -550,7 +551,7 @@ func (l *Log) writeRecordLocked(rec Record, forceSync bool, attempt int) error {
 		l.unsynced++
 		if forceSync || (l.opts.SyncEvery > 0 && l.unsynced >= l.opts.SyncEvery) {
 			if err = l.opts.Chaos.Fire("edgelog.fsync", int64(rec.Seq), attempt); err == nil {
-				err = l.f.Sync()
+				err = l.syncFile()
 			}
 			if err == nil {
 				l.unsynced = 0
@@ -793,13 +794,23 @@ func (l *Log) Sync() error {
 	if l.unsynced == 0 {
 		return nil
 	}
-	if err := l.f.Sync(); err != nil {
+	if err := l.syncFile(); err != nil {
 		return err
 	}
 	l.unsynced = 0
 	l.activeSynced = l.size
 	l.opts.Obs.Counter("edgelog.fsyncs").Add(1)
 	return nil
+}
+
+// syncFile fsyncs the active segment for an append or Sync — the fsyncs
+// edgelog.fsyncs counts — observing each call's latency in
+// edgelog.fsync_ns, failed calls included.
+func (l *Log) syncFile() error {
+	start := time.Now()
+	err := l.f.Sync()
+	l.opts.Obs.Histogram("edgelog.fsync_ns").Observe(int64(time.Since(start)))
+	return err
 }
 
 // NextSeq returns the sequence the next accepted append will get.

@@ -35,6 +35,8 @@ type algo1 struct {
 	g2m    []temporal.NodeID
 	eCount []int32
 	eStack []temporal.EdgeID
+	// matchBuf backs the slice handed to Probe.Match (see worker.matchBuf).
+	matchBuf []int32
 
 	// wc memoizes per-node filter bounds (see worker.wc); useCache is off
 	// for Baseline runs, which keep the plain binary search.
@@ -100,7 +102,7 @@ func (a *algo1) run() {
 				// Leaf of the search tree: a complete motif (line 44–45).
 				a.stats.Matches++
 				if a.opts.Probe != nil {
-					a.opts.Probe.Match(edgeIDsAsInt32(a.eStack))
+					a.opts.Probe.Match(asInt32(&a.matchBuf, a.eStack))
 				}
 				if a.opts.Ctl.MatchBudgeted() {
 					a.checkpoint()

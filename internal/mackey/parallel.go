@@ -45,16 +45,7 @@ func MineParallelCtx(ctx context.Context, g *temporal.Graph, m *temporal.Motif, 
 		// in one worker stops the others promptly.
 		opts.Ctl = runctl.New(ctx, b)
 	}
-	ctl := opts.Ctl
-	workers := opts.Workers
-	if workers < 1 {
-		workers = runtime.NumCPU()
-	}
 	lo, hi := opts.rootSpan(g.NumEdges())
-	n := hi - lo
-	if workers > n {
-		workers = max(1, n)
-	}
 
 	// Time-partitioned dynamic scheduling: the root space is pre-split
 	// into contiguous, timestamp-aligned edge ranges, and workers steal
@@ -64,8 +55,41 @@ func MineParallelCtx(ctx context.Context, g *temporal.Graph, m *temporal.Motif, 
 	// the roots a worker mines consecutively stay temporally adjacent —
 	// which is exactly what keeps its worker-local window cache advancing
 	// monotonically instead of thrashing.
-	bounds := partitionRootsRange(g, workers, temporal.EdgeID(lo), temporal.EdgeID(hi))
-	numChunks := int64(len(bounds) - 1)
+	plan := &chunkPlan{bounds: partitionRootsRange(g, max(1, opts.workerCount()), temporal.EdgeID(lo), temporal.EdgeID(hi))}
+	plan.last.Store(int64(len(plan.bounds) - 2))
+	return mineChunks(g, m, opts, plan)
+}
+
+// workerCount resolves Options.Workers (< 1 means runtime.NumCPU()).
+func (o *Options) workerCount() int {
+	if o.Workers < 1 {
+		return runtime.NumCPU()
+	}
+	return o.Workers
+}
+
+// chunkPlan is the work list of one mineChunks run: the chunks
+// next..last of bounds (chunk k spans bounds[k]..bounds[k+1]).
+type chunkPlan struct {
+	bounds []temporal.EdgeID
+	// next is the shared pull cursor.
+	next atomic.Int64
+	// last is the final chunk of the run. Lowering it mid-run stops the
+	// pulls beyond it and abandons, between two roots, any chunk past it
+	// already in flight.
+	last atomic.Int64
+	// done, when non-nil, receives the match count of every chunk mined
+	// to completion, from the worker that mined it.
+	done func(k, matches int64)
+}
+
+// mineChunks mines plan's chunks on opts.Workers workers under opts.Ctl
+// (which must be set) and merges their stats. It is the work-stealing
+// loop behind MineParallelCtx and ChunkIndex.Seek.
+func mineChunks(g *temporal.Graph, m *temporal.Motif, opts Options, plan *chunkPlan) (Result, error) {
+	ctl := opts.Ctl
+	bounds := plan.bounds
+	workers := min(opts.workerCount(), max(1, int(plan.last.Load()-plan.next.Load()+1)))
 
 	// Per-worker observability tallies, written only by the owning worker
 	// goroutine and read after wg.Wait(). Timing is collected only when an
@@ -76,8 +100,7 @@ func MineParallelCtx(ctx context.Context, g *temporal.Graph, m *temporal.Motif, 
 		runStart = time.Now()
 	}
 
-	plan := ctl.FaultPlan()
-	var cursor atomic.Int64
+	faults := ctl.FaultPlan()
 	perWorker := make([]Stats, workers)
 	perChunks := make([]int64, workers)
 	perBusy := make([]time.Duration, workers)
@@ -120,27 +143,37 @@ func MineParallelCtx(ctx context.Context, g *temporal.Graph, m *temporal.Motif, 
 			}()
 		pull:
 			for {
-				k := cursor.Add(1) - 1
-				if k >= numChunks {
+				k := plan.next.Add(1) - 1
+				if k > plan.last.Load() {
 					break
 				}
-				if plan != nil {
+				if faults != nil {
 					// Chaos site "mackey.chunk": Error/Drop stop the run as
 					// FaultInjected; a Panic unwinds into the recover above.
 					// (The supervised variant retries these instead.)
-					if err := plan.Fire("mackey.chunk", k, 0); err != nil {
+					if err := faults.Fire("mackey.chunk", k, 0); err != nil {
 						errs[wi] = err
 						ctl.Stop(runctl.FaultInjected)
 						break pull
 					}
 				}
 				perChunks[wi]++
+				before := w.stats.Matches
 				for root := bounds[k]; root < bounds[k+1]; root++ {
 					if w.stopped {
 						break pull
 					}
+					if k > plan.last.Load() {
+						continue pull // abandoned: the run no longer needs it
+					}
 					cur = int64(root)
 					w.mineRoot(root)
+				}
+				if w.stopped {
+					break // the last tree may have been cut short
+				}
+				if plan.done != nil {
+					plan.done(k, w.stats.Matches-before)
 				}
 			}
 			w.checkpoint() // flush the tail of this worker's progress

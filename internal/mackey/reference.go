@@ -156,6 +156,9 @@ type worker struct {
 	m2g []temporal.NodeID // motif node -> graph node, -1 if unmapped
 	g2m []temporal.NodeID // graph node -> motif node, -1 if unmapped
 	seq []temporal.EdgeID // matched graph edges in motif order (eStack)
+	// matchBuf is the reused slice handed to Probe.Match ("copy to
+	// retain"): one per worker, so enumeration allocates nothing per match.
+	matchBuf []int32
 
 	// wc memoizes per-node phase-1 filter bounds across expansions and
 	// root tasks; worker-owned, so the parallel miners stay race-free.
@@ -292,7 +295,7 @@ func (w *worker) extend(depth int, last temporal.EdgeID, deadline temporal.Times
 	if depth == w.m.NumEdges() {
 		w.stats.Matches++
 		if w.opts.Probe != nil {
-			w.opts.Probe.Match(edgeIDsAsInt32(w.seq))
+			w.opts.Probe.Match(asInt32(&w.matchBuf, w.seq))
 		}
 		if w.opts.Ctl.MatchBudgeted() {
 			// Eager poll under a match budget: the sequential miner then
@@ -572,10 +575,12 @@ func (w *worker) accept(depth int, id temporal.EdgeID, deadline temporal.Timesta
 // maxTimestamp is the sentinel deadline before the first edge is matched.
 const maxTimestamp = temporal.Timestamp(math.MaxInt64)
 
-func edgeIDsAsInt32(seq []temporal.EdgeID) []int32 {
-	out := make([]int32, len(seq))
-	for i, id := range seq {
-		out[i] = int32(id)
+// asInt32 writes seq into *buf (grown once, then reused) as int32 IDs.
+func asInt32(buf *[]int32, seq []temporal.EdgeID) []int32 {
+	out := (*buf)[:0]
+	for _, id := range seq {
+		out = append(out, int32(id))
 	}
+	*buf = out
 	return out
 }

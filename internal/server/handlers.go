@@ -16,8 +16,10 @@ import (
 
 	"mint"
 	"mint/internal/edgelog"
+	"mint/internal/mackey"
 	"mint/internal/obs"
 	"mint/internal/runctl"
+	"mint/internal/server/registry"
 )
 
 // API request/response shapes -------------------------------------------
@@ -584,9 +586,12 @@ func (s *Server) countSupervised(ctx context.Context, g *mint.Graph, m *mint.Mot
 }
 
 // Enumerate serves one page of matches. Pagination rides the
-// deterministic chronological search order: the budget stops the walk
-// at offset+limit matches, and the first offset are skipped as they
-// stream by.
+// deterministic chronological search order: the page is the matches
+// [offset, offset+limit) of the walk over the window's roots, and the
+// budget stops the walk once the page fills. A page at offset 0 walks
+// from the window's first root. A deeper page seeks first (see seek), so
+// it walks from at most one root chunk before its first match and skips
+// only the remainder as it streams by.
 func (s *Server) Enumerate(ctx context.Context, req *EnumerateRequest, full runctl.Budget) (*EnumerateResponse, error) {
 	offset := int64(0)
 	if req.PageToken != "" {
@@ -610,32 +615,104 @@ func (s *Server) Enumerate(ctx context.Context, req *EnumerateRequest, full runc
 		return nil, errors.New("workload breaker open and enumeration has no degraded mode")
 	}
 
+	lo, hi := mint.EdgeID(0), mint.EdgeID(g.NumEdges())
+	if w := req.RootWindow; w != nil {
+		lo, hi = g.EdgeRange(mint.Timestamp(w.StartTS), mint.Timestamp(w.EndTS))
+	}
+	sk := mackey.Seek{Start: lo}
+	if offset > 0 {
+		sk = s.seek(ctx, req.Dataset, g, m, full, lo, hi, offset)
+		if sk.Result.Truncated {
+			s.brk.Record(key, sk.Result.StopReason != mint.StopFaultInjected)
+			return &EnumerateResponse{Matches: [][]int32{}, Truncated: true, StopReason: sk.Result.StopReason.String()}, nil
+		}
+	}
+
 	b := full
-	b.MaxMatches = offset + int64(req.Limit)
-	matches := make([][]int32, 0, req.Limit)
-	var seen int64
+	b.MaxMatches = sk.Skip + int64(req.Limit)
+	if b.MaxNodes > 0 {
+		b.MaxNodes = max(1, b.MaxNodes-sk.Result.Stats.NodesExpanded)
+	}
+	ctl := runctl.New(ctx, b)
+	ctl.SetFaultPlan(s.cfg.Chaos)
+	page := &pageProbe{
+		skip:    sk.Skip,
+		slab:    make([]int32, 0, req.Limit*m.NumEdges()),
+		matches: make([][]int32, 0, req.Limit),
+	}
 	msp := rt.Begin("mine.enumerate", rt.RootID())
-	res := mint.EnumerateChaosRootsCtx(ctx, g, m, b, s.cfg.Chaos, rootWindowFor(req.RootWindow), func(edges []int32) {
-		seen++
-		if seen <= offset {
-			return
-		}
-		if int64(len(matches)) < int64(req.Limit) {
-			matches = append(matches, append([]int32(nil), edges...))
-		}
-	})
+	res := mackey.MineCtx(ctx, g, m, mackey.Options{Probe: page, Ctl: ctl, Roots: &mackey.RootRange{Lo: sk.Start, Hi: hi}}, b)
 	msp.End()
 	s.brk.Record(key, res.StopReason != mint.StopFaultInjected)
-	out := &EnumerateResponse{Matches: matches}
+	out := &EnumerateResponse{Matches: page.matches}
 	switch {
 	case res.Truncated && res.StopReason == mint.StopMatchBudget:
 		// The page filled: not a truncation, just the next page.
-		out.NextPageToken = strconv.FormatInt(offset+int64(len(matches)), 10)
+		out.NextPageToken = strconv.FormatInt(offset+int64(len(page.matches)), 10)
 	case res.Truncated:
 		out.Truncated = true
 		out.StopReason = res.StopReason.String()
 	}
 	return out, nil
+}
+
+// seek positions a deep page (offset > 0) in the enumeration of roots
+// [lo, hi): it walks the dataset's chunk index for (motif, δ), counting
+// the chunks it needs that are not yet in the index on the request's
+// workers, under the request's budget and fault plan. The index is a
+// registry sidecar, so it lives and dies with the loaded graph, and it
+// stores only complete chunk counts: a truncated seek answers its page
+// loudly truncated and leaves the index as exact as it was.
+func (s *Server) seek(ctx context.Context, dataset string, g *mint.Graph, m *mint.Motif, full runctl.Budget, lo, hi mint.EdgeID, offset int64) mackey.Seek {
+	rt := obs.ReqTraceFrom(ctx)
+	sp := rt.Begin("enumerate.seek", rt.RootID())
+	start := time.Now()
+	idx := s.data.Sidecar(dataset, g, "chunk-index/"+m.String()+"@"+strconv.FormatInt(int64(m.Delta), 10),
+		func() registry.Sidecar { return mackey.NewChunkIndex(g) }).(*mackey.ChunkIndex)
+	b := full
+	b.MaxMatches = 0 // the page's own budget; counting is not paging
+	ctl := runctl.New(ctx, b)
+	ctl.SetFaultPlan(s.cfg.Chaos)
+	sk, _ := idx.Seek(g, m, mackey.Options{Workers: s.cfg.Workers, Ctl: ctl}, lo, hi, offset)
+	s.obs.Histogram("server.enumerate.seek_ns").Observe(int64(time.Since(start)))
+	switch {
+	case sk.Counted > 0:
+		s.obs.Counter("server.enumerate.index_builds").Add(1)
+	case !sk.Result.Truncated:
+		s.obs.Counter("server.enumerate.index_hits").Add(1)
+	}
+	sp.Set("chunks_counted", strconv.Itoa(sk.Counted))
+	if sk.Result.Truncated {
+		sp.Set("stop_reason", sk.Result.StopReason.String())
+	} else {
+		s.obs.Counter("server.enumerate.skipped_matches").Add(offset - sk.Skip)
+		sp.Set("skipped", strconv.FormatInt(offset-sk.Skip, 10))
+	}
+	sp.End()
+	return sk
+}
+
+// pageProbe collects one enumerate page: the first skip matches stream
+// by, the next cap(matches) are copied into one slab and sub-sliced from
+// it, one allocation per page rather than one per match.
+type pageProbe struct {
+	mackey.NopProbe
+	skip    int64
+	slab    []int32
+	matches [][]int32
+}
+
+func (p *pageProbe) Match(edges []int32) {
+	if p.skip > 0 {
+		p.skip--
+		return
+	}
+	if len(p.matches) == cap(p.matches) {
+		return
+	}
+	n := len(p.slab)
+	p.slab = append(p.slab, edges...)
+	p.matches = append(p.matches, p.slab[n:len(p.slab):len(p.slab)])
 }
 
 // Profile counts M1–M4 on a dataset.

@@ -88,7 +88,25 @@ type entry struct {
 	// make the watermark accounting lie and force a pointless reload for
 	// the next request.
 	pins int
+	// sidecars holds derived per-graph state (Sidecar), charged to bytes
+	// and dropped with the entry; guarded by the registry mutex.
+	sidecars map[string]Sidecar
 }
+
+// Sidecar is derived state cached alongside one loaded graph — a
+// seek index, say. It lives exactly as long as the graph's entry:
+// eviction, invalidation and stale reloads drop it with the graph, and
+// its Bytes count toward the watermark. A sidecar must not hold the
+// graph itself, so a dropped entry pins nothing.
+type Sidecar interface {
+	// Bytes is the sidecar's resident size; it must not change.
+	Bytes() int64
+}
+
+// maxSidecars bounds the sidecars one entry keeps. Keys come from
+// request parameters (motif spec, δ), so without a bound a client could
+// grow an entry without limit when no watermark is set.
+const maxSidecars = 64
 
 // Registry is the cache. All methods are safe for concurrent use.
 type Registry struct {
@@ -245,6 +263,7 @@ func (r *Registry) touch(e *entry) {
 func (r *Registry) load(ctx context.Context, e *entry) (*temporal.Graph, error) {
 	o := r.opts.Obs
 	o.Counter("registry.load").Add(1)
+	start := time.Now()
 	var g *temporal.Graph
 	var err error
 	for attempt := 0; attempt < r.opts.MaxAttempts; attempt++ {
@@ -273,6 +292,9 @@ func (r *Registry) load(ctx context.Context, e *entry) (*temporal.Graph, error) 
 		o.Counter("registry.load_fail").Add(1)
 		return nil, e.err
 	}
+	// Load and parse time of a landed flight, retries and backoff
+	// included: what the requests that joined it waited for.
+	o.Histogram("registry.load_ns").Observe(int64(time.Since(start)))
 	e.g = g
 	e.bytes = GraphBytes(g)
 	r.useSeq++
@@ -361,6 +383,46 @@ func landed(e *entry) bool {
 	default:
 		return false
 	}
+}
+
+// Sidecar returns the sidecar stored under key on the entry that caches
+// g as name, creating it with mk on first use. When g is not (or no
+// longer) the cached graph for name — evicted, invalidated, reloaded —
+// or the entry is full, mk's result is returned without being stored:
+// the caller uses it for one request and the GC takes it after. mk runs
+// outside the registry lock; concurrent first uses may each run it, and
+// all but one result are discarded.
+func (r *Registry) Sidecar(name string, g *temporal.Graph, key string, mk func() Sidecar) Sidecar {
+	r.mu.Lock()
+	e := r.entries[name]
+	if e == nil || !landed(e) || e.g != g {
+		r.mu.Unlock()
+		return mk()
+	}
+	if sc, ok := e.sidecars[key]; ok {
+		r.mu.Unlock()
+		return sc
+	}
+	r.mu.Unlock()
+	sc := mk()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.entries[name] != e || len(e.sidecars) >= maxSidecars {
+		return sc
+	}
+	if cur, ok := e.sidecars[key]; ok {
+		return cur
+	}
+	if e.sidecars == nil {
+		e.sidecars = map[string]Sidecar{}
+	}
+	e.sidecars[key] = sc
+	e.bytes += sc.Bytes()
+	r.bytes += sc.Bytes()
+	r.evictLocked(e)
+	r.opts.Obs.Gauge("registry.entries").Set(int64(len(r.entries)))
+	r.opts.Obs.Gauge("registry.bytes").Set(r.bytes)
+	return sc
 }
 
 // Len returns the number of cached or in-flight datasets.

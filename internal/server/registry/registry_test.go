@@ -407,3 +407,66 @@ func TestValidateHookDropsStaleEntries(t *testing.T) {
 		t.Fatal("Validate=true hit must serve the cached graph")
 	}
 }
+
+type sizedSidecar int64
+
+func (s sizedSidecar) Bytes() int64 { return int64(s) }
+
+// TestSidecarLifetime: a sidecar is created once per (entry, key), its
+// bytes count toward the watermark, it is dropped with its entry on
+// Invalidate and on eviction, and a graph the cache no longer holds gets
+// a fresh, unstored one.
+func TestSidecarLifetime(t *testing.T) {
+	graphs := map[string]*temporal.Graph{"a": testGraph(1, 200), "b": testGraph(2, 200)}
+	reg := New(Options{
+		Loader: func(_ context.Context, name string) (*temporal.Graph, error) {
+			// A reload is a new graph value, as a live dataset's is.
+			return temporal.MustNewGraph(graphs[name].Edges), nil
+		},
+		MaxBytes: GraphBytes(graphs["a"]) + 5000,
+	})
+	ctx := context.Background()
+	ga, release, err := reg.Checkout(ctx, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	made := 0
+	mk := func() Sidecar { made++; return sizedSidecar(1000) }
+	first := reg.Sidecar("a", ga, "k", mk)
+	if again := reg.Sidecar("a", ga, "k", mk); again != first || made != 1 {
+		t.Fatalf("second lookup made %d sidecars", made)
+	}
+	if got, want := reg.Bytes(), GraphBytes(ga)+1000; got != want {
+		t.Fatalf("registry bytes %d with a sidecar, want %d", got, want)
+	}
+	release()
+
+	// Invalidate drops the entry and its sidecar: the reloaded graph
+	// starts without one.
+	reg.Invalidate("a")
+	if reg.Bytes() != 0 {
+		t.Fatalf("registry bytes %d after Invalidate, want 0", reg.Bytes())
+	}
+	ga2, err := reg.Get(ctx, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.Sidecar("a", ga2, "k", mk)
+	if made != 2 {
+		t.Fatalf("a reloaded entry reused the invalidated entry's sidecar")
+	}
+	// The old graph is no longer cached: its sidecar is built, not stored.
+	reg.Sidecar("a", ga, "k", mk)
+	reg.Sidecar("a", ga, "k", mk)
+	if made != 4 || reg.Bytes() != GraphBytes(ga2)+1000 {
+		t.Fatalf("stale-graph sidecars: made %d, registry bytes %d", made, reg.Bytes())
+	}
+
+	// Loading b pushes past the watermark and evicts a with its sidecar.
+	if _, err := reg.Get(ctx, "b"); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := reg.Bytes(), GraphBytes(graphs["b"]); got != want {
+		t.Fatalf("registry bytes %d after evicting a, want %d", got, want)
+	}
+}
